@@ -18,10 +18,9 @@ from .design import (
     derive_calendar,
     derive_periods,
     entry_times,
-    interval_index,
 )
 from .mixed_model import MixedFit, ar1_correlation, reml_fit
-from .regression_engine import OlsFit, RankDeficiencyError, build_design, ols_fit, t_cdf, t_sf, wald_test
+from .regression_engine import OlsFit, RankDeficiencyError, build_design, ols_fit, t_sf, wald_test
 from .simharness import GridSpec, OperatingCharacteristics, Scenario, run_grid, run_scenario
 from .spline import SplineBasis, basis_matrix, knots_from_calendar, knots_from_periods
 
@@ -53,7 +52,6 @@ __all__ = [
     "entry_times",
     "fit",
     "generate_trial",
-    "interval_index",
     "knots_from_calendar",
     "knots_from_periods",
     "ols_fit",
@@ -64,7 +62,6 @@ __all__ = [
     "run_scenario",
     "separate_ttest",
     "slice_for_arm",
-    "t_cdf",
     "t_sf",
     "trend_value",
     "wald_test",

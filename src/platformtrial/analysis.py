@@ -14,20 +14,39 @@ from .datagen import TrialDataset
 from .design import ConfigError, derive_calendar, derive_periods
 from .regression_engine import WaldTest, build_design, ols_fit, t_sf, wald_test
 
-ESTIMATORS = (
-    "fixed_period",
-    "fixed_calendar",
-    "spline_period",
-    "spline_calendar",
-    "mixed_period",
-    "mixed_calendar",
-    "mixed_period_ar1",
-    "mixed_calendar_ar1",
-    "mixedint_period",
-    "mixedint_calendar",
-    "pooled",
-    "separate",
-)
+
+@dataclass(frozen=True)
+class Estimator:
+    """An estimator as one choice on each of three axes.
+
+    ``timescale`` is the time partition the adjustment uses (``period``,
+    ``calendar``, or None for the t-tests); ``family`` the model-based
+    adjustment; ``covariance`` the structure of random interval intercepts.
+    """
+
+    timescale: str | None
+    family: str
+    covariance: str = "independent"
+
+    @property
+    def needs_c_length(self) -> bool:
+        return self.timescale == "calendar"
+
+
+ESTIMATORS = {
+    "fixed_period": Estimator("period", "fixed"),
+    "fixed_calendar": Estimator("calendar", "fixed"),
+    "spline_period": Estimator("period", "spline"),
+    "spline_calendar": Estimator("calendar", "spline"),
+    "mixed_period": Estimator("period", "mixed"),
+    "mixed_calendar": Estimator("calendar", "mixed"),
+    "mixed_period_ar1": Estimator("period", "mixed", "ar1"),
+    "mixed_calendar_ar1": Estimator("calendar", "mixed", "ar1"),
+    "mixedint_period": Estimator("period", "mixedint"),
+    "mixedint_calendar": Estimator("calendar", "mixedint"),
+    "pooled": Estimator(None, "pooled"),
+    "separate": Estimator(None, "separate"),
+}
 
 RESULT_FIELDS = ("estimator", "arm", "theta_hat", "se", "p_one", "p_two", "reject")
 
@@ -43,11 +62,11 @@ class ModelSpec:
     sided: str = "one_greater"
 
     def __post_init__(self):
-        if self.estimator not in ESTIMATORS:
+        if not isinstance(self.estimator, str) or self.estimator not in ESTIMATORS:
             raise ConfigError(f"unknown estimator {self.estimator!r}")
-        if "calendar" in self.estimator and (self.c_length is None or self.c_length < 1):
+        if self.kind.needs_c_length and (self.c_length is None or self.c_length < 1):
             raise ConfigError(f"{self.estimator} requires c_length >= 1")
-        if self.estimator.startswith("spline") and self.spline_degree not in spline.DEGREES:
+        if self.kind.family == "spline" and self.spline_degree not in spline.DEGREES:
             raise ConfigError(f"spline degree must be one of {spline.DEGREES}")
         if not 0 < self.alpha < 1:
             raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
@@ -55,8 +74,12 @@ class ModelSpec:
             raise ConfigError(f"sided must be 'one_greater' or 'two', got {self.sided!r}")
 
     @property
+    def kind(self) -> Estimator:
+        return ESTIMATORS[self.estimator]
+
+    @property
     def label(self) -> str:
-        if self.estimator.startswith("spline"):
+        if self.kind.family == "spline":
             return f"{self.estimator}_q{self.spline_degree}"
         return self.estimator
 
@@ -124,11 +147,6 @@ def _prepare(dataset: TrialDataset, m: int) -> _Prepared:
         treatments=treatments,
         m_entry=float(m_entry),
     )
-
-
-def _period_starts(dataset: TrialDataset, prep: _Prepared) -> tuple[float, ...]:
-    tl = dataset.timeline
-    return derive_periods(tl.entry, tl.exit, prep.horizon, origin=prep.origin)
 
 
 def _two_sample_t(y_trt, y_ctl, m: int, estimator: str, alpha: float, sided: str, extra=None):
@@ -208,86 +226,64 @@ def _from_wald(label, m, fit, wt: WaldTest, diag) -> FitResult:
 
 def fit(dataset: TrialDataset, m: int, spec: ModelSpec) -> FitResult:
     """Fit one estimator to the analysis set of arm m."""
-    if spec.estimator == "pooled":
+    kind = spec.kind
+    if kind.family == "pooled":
         return pooled_ttest(dataset, m, alpha=spec.alpha, sided=spec.sided)
-    if spec.estimator == "separate":
+    if kind.family == "separate":
         return separate_ttest(dataset, m, alpha=spec.alpha, sided=spec.sided)
 
     prep = _prepare(dataset, m)
-    coeff = f"trt{m}"
-    base = spec.estimator.rsplit("_", 1)[0] if spec.estimator.endswith("_ar1") else spec.estimator
-    family, timescale = base.split("_")
-    if timescale == "period":
-        starts = _period_starts(dataset, prep)
-        prefix = "per"
+    if kind.timescale == "period":
+        tl = dataset.timeline
+        starts = derive_periods(tl.entry, tl.exit, prep.horizon, origin=prep.origin)
     else:
-        starts = derive_calendar(prep.horizon, spec.c_length, start=prep.origin).boundaries
-        prefix = "cal"
-    n_intervals = len(starts)
+        calendar = derive_calendar(prep.horizon, spec.c_length, start=prep.origin)
+        starts = calendar.boundaries
+    diag = {"n_intervals": len(starts)}
 
-    if family == "fixed":
-        dm = build_design(
-            prep.t, prep.arm, prep.y, prep.treatments,
-            adjustment=timescale, starts=starts, horizon=prep.horizon,
-        )
-        ols = ols_fit(dm)
-        wt = wald_test(ols, coeff, sided=spec.sided, alpha=spec.alpha)
-        diag = {"df": ols.df, "n_obs": len(dm.y), "n_columns": dm.X.shape[1],
-                "n_intervals": n_intervals}
-        return _from_wald(spec.label, m, ols, wt, diag)
-
-    if family == "spline":
-        if timescale == "period":
+    if kind.family == "spline":
+        if kind.timescale == "period":
             basis = spline.knots_from_periods(starts, prep.horizon, degree=spec.spline_degree)
         else:
-            basis = spline.knots_from_calendar(
-                derive_calendar(prep.horizon, spec.c_length, start=prep.origin),
-                degree=spec.spline_degree,
-            )
+            basis = spline.knots_from_calendar(calendar, degree=spec.spline_degree)
         dm = build_design(
             prep.t, prep.arm, prep.y, prep.treatments, adjustment="spline", basis=basis
         )
-        ols = ols_fit(dm)
-        wt = wald_test(ols, coeff, sided=spec.sided, alpha=spec.alpha)
-        diag = {"df": ols.df, "n_obs": len(dm.y), "n_columns": dm.X.shape[1],
-                "n_intervals": n_intervals, "spline_degree": spec.spline_degree,
-                "n_inner_knots": len(basis.inner_knots)}
-        return _from_wald(spec.label, m, ols, wt, diag)
-
-    if family in ("mixed", "mixedint"):
-        interaction = family == "mixedint"
-        fixed_adjustment = timescale if interaction else "none"
+        diag.update(spline_degree=spec.spline_degree, n_inner_knots=len(basis.inner_knots))
+    else:
+        # mixed carries time in random interval intercepts only; mixedint keeps
+        # the fixed interval effects and adds random treatment-by-interval terms
+        fixed_time = kind.family in ("fixed", "mixedint")
         dm = build_design(
             prep.t, prep.arm, prep.y, prep.treatments,
-            adjustment=fixed_adjustment, starts=starts, horizon=prep.horizon,
+            adjustment=kind.timescale if fixed_time else "none",
+            starts=starts, horizon=prep.horizon,
         )
-        structure = "ar1" if spec.estimator.endswith("_ar1") else "independent"
+
+    estimate = None
+    if kind.family in ("mixed", "mixedint"):
         try:
             Z, _ = mixed_model.build_random_design(
                 prep.t, prep.arm,
-                grouping="interaction" if interaction else "interval",
-                starts=starts, horizon=prep.horizon, prefix=prefix,
-                treatments=prep.treatments if interaction else None,
-                exclude_arm=m if interaction else None,
+                grouping="interaction" if kind.family == "mixedint" else "interval",
+                starts=starts, horizon=prep.horizon,
+                treatments=prep.treatments, exclude_arm=m,
             )
         except mixed_model.DegenerateRandomDesign:
-            ols = ols_fit(dm)
-            wt = wald_test(ols, coeff, sided=spec.sided, alpha=spec.alpha)
-            diag = {"df": ols.df, "n_obs": len(dm.y), "n_columns": dm.X.shape[1],
-                    "n_intervals": n_intervals, "fallback": "ols_single_interval",
-                    "converged": True}
-            return _from_wald(spec.label, m, ols, wt, diag)
-        mfit = mixed_model.reml_fit(dm.X, Z, dm.y, cov_structure=structure, columns=dm.columns)
-        wt = mixed_model.mixed_wald_test(mfit, coeff, sided=spec.sided, alpha=spec.alpha)
-        diag = {"df": mfit.df, "n_obs": len(dm.y), "n_columns": dm.X.shape[1],
-                "n_intervals": n_intervals, "n_random_columns": Z.shape[1],
-                "sigma2_random": mfit.sigma2_random, "converged": mfit.converged,
-                "iterations": mfit.iterations}
-        if mfit.rho is not None:
-            diag["rho"] = mfit.rho
-        return _from_wald(spec.label, m, mfit, wt, diag)
-
-    raise ConfigError(f"unknown estimator {spec.estimator!r}")  # pragma: no cover
+            diag.update(fallback="ols_single_interval", converged=True)
+        else:
+            estimate = mixed_model.reml_fit(
+                dm.X, Z, dm.y, cov_structure=kind.covariance, columns=dm.columns
+            )
+            diag.update(n_random_columns=Z.shape[1], sigma2_random=estimate.sigma2_random,
+                        converged=estimate.converged, iterations=estimate.iterations)
+            if estimate.rho is not None:
+                diag["rho"] = estimate.rho
+    if estimate is None:
+        estimate = ols_fit(dm)
+    wt = wald_test(estimate, f"trt{m}", sided=spec.sided, alpha=spec.alpha)
+    diag.update(df=estimate.df, n_obs=len(dm.y), n_columns=dm.X.shape[1])
+    return _from_wald(spec.label, m, estimate, wt, diag)
 
 
 # ---------------------------------------------------------------------------

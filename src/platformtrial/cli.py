@@ -78,7 +78,7 @@ class _Validator:
         return tuple(out)
 
 
-def _validate_models(v: _Validator, models, K) -> tuple[ModelSpec, ...]:
+def _validate_models(v: _Validator, models) -> tuple[ModelSpec, ...]:
     if not isinstance(models, list) or not models:
         v.fail("models", "must be a non-empty list")
         return ()
@@ -90,7 +90,7 @@ def _validate_models(v: _Validator, models, K) -> tuple[ModelSpec, ...]:
             continue
         v.unknown_keys(entry, path, {"estimator", "degree"})
         name = entry.get("estimator")
-        if name not in ESTIMATORS:
+        if not isinstance(name, str) or name not in ESTIMATORS:
             v.fail(f"{path}.estimator", f"must be one of {', '.join(ESTIMATORS)}")
             continue
         degree = entry.get("degree", 3)
@@ -99,7 +99,7 @@ def _validate_models(v: _Validator, models, K) -> tuple[ModelSpec, ...]:
             continue
         # calendar estimators get the real c_length injected per grid cell
         try:
-            placeholder = 1 if "calendar" in name else None
+            placeholder = 1 if ESTIMATORS[name].needs_c_length else None
             out.append(ModelSpec(name, c_length=placeholder, spline_degree=degree))
         except ConfigError as exc:
             v.fail(path, str(exc))
@@ -173,8 +173,8 @@ def load_config(path) -> tuple[GridSpec, dict]:
     elif "seasonal" in patterns:
         v.fail("trend.psi", "required when patterns include seasonal")
 
-    models = _validate_models(v, doc.get("models"), K)
-    needs_calendar = any("calendar" in s.estimator for s in models)
+    models = _validate_models(v, doc.get("models"))
+    needs_calendar = any(s.kind.needs_c_length for s in models)
     calendar = doc.get("calendar")
     c_lengths: tuple = (None,)
     if calendar is not None:
@@ -225,11 +225,10 @@ def load_config(path) -> tuple[GridSpec, dict]:
         "trend": {"patterns": list(patterns), "lambda": list(lambdas),
                   "profile": profile if isinstance(profile, str) else list(profile),
                   "n_p": n_p, "psi": psi},
-        "calendar": {"c_length": [c for c in c_lengths if c is not None]} if any(
-            c is not None for c in c_lengths) else None,
+        "calendar": {"c_length": list(c_lengths)} if needs_calendar else None,
         "models": [
             {"estimator": s.estimator, "degree": s.spline_degree}
-            if s.estimator.startswith("spline") else {"estimator": s.estimator}
+            if s.kind.family == "spline" else {"estimator": s.estimator}
             for s in models
         ],
         "run": {"hypotheses": list(hypotheses), "replicates": replicates, "seed": seed,
@@ -292,12 +291,13 @@ def _parse_models(args) -> list[ModelSpec]:
         name = name.strip()
         if name not in ESTIMATORS:
             raise ConfigError(f"unknown estimator {name!r} in --models")
-        if "calendar" in name and args.c_length is None:
+        calendar = ESTIMATORS[name].needs_c_length
+        if calendar and args.c_length is None:
             raise ConfigError(f"{name} requires --c-length")
         specs.append(
             ModelSpec(
                 name,
-                c_length=args.c_length if "calendar" in name else None,
+                c_length=args.c_length if calendar else None,
                 spline_degree=args.spline_degree,
                 **opts,
             )

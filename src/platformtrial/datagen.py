@@ -7,7 +7,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .design import ConfigError, TrialConfig, TrialTimeline, derive_periods, entry_times
+from .design import ConfigError, TrialConfig, TrialTimeline, entry_times
 
 TREND_PATTERNS = ("none", "linear", "stepwise", "inverted_u", "seasonal")
 
@@ -44,14 +44,6 @@ class TrendSpec:
 
 
 @dataclass(frozen=True)
-class PatientRecord:
-    j: int
-    arm: int
-    t: float
-    y: float
-
-
-@dataclass(frozen=True)
 class TrialDataset:
     """Column-oriented patient records plus the realized timeline.
 
@@ -70,13 +62,6 @@ class TrialDataset:
 
     def __len__(self) -> int:
         return self.j.size
-
-    def records(self) -> Iterator[PatientRecord]:
-        for i in range(self.j.size):
-            yield PatientRecord(int(self.j[i]), int(self.arm[i]), float(self.t[i]), float(self.y[i]))
-
-    def arm_count(self, k: int) -> int:
-        return int(np.count_nonzero(self.arm == k))
 
 
 def arms_entered_by(times, entries: Sequence[float]):
@@ -228,7 +213,6 @@ def generate_trial(
     timeline = TrialTimeline(
         entry=tuple(float(e) for e in entries),
         exit=tuple(float(x) for x in exits),
-        period_starts=derive_periods(entries, exits, horizon=n_total),
         n_total=n_total,
     )
     root = seed if isinstance(seed, int) else None
@@ -278,14 +262,7 @@ def empirical_timeline(arm: np.ndarray, t: np.ndarray) -> TrialTimeline:
         )
     entries = tuple(float(t[arm == k].min()) for k in arms)
     exits = tuple(float(t[arm == k].max()) for k in arms)
-    horizon = float(t.max())
-    origin = float(t.min())
-    return TrialTimeline(
-        entry=entries,
-        exit=exits,
-        period_starts=derive_periods(entries, exits, horizon, origin=origin),
-        n_total=int(t.size),
-    )
+    return TrialTimeline(entry=entries, exit=exits, n_total=int(t.size))
 
 
 def write_csv(dataset: TrialDataset, path) -> None:

@@ -7,7 +7,6 @@ applies.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -53,16 +52,15 @@ class TrialConfig:
 
 @dataclass(frozen=True)
 class TrialTimeline:
-    """Realized entry/exit times of all arms and the full-trial period grid.
+    """Realized entry/exit times of all arms.
 
     ``entry[k-1]`` is the first time arm k is eligible for randomization,
-    ``exit[k-1]`` the time its last patient was enrolled. ``period_starts``
-    covers the whole trial, i.e. the partition at horizon ``n_total``.
+    ``exit[k-1]`` the time its last patient was enrolled. The periods at a
+    given horizon follow from them through :func:`derive_periods`.
     """
 
     entry: tuple[float, ...]
     exit: tuple[float, ...]
-    period_starts: tuple[float, ...]
     n_total: int
 
     def __post_init__(self):
@@ -131,18 +129,11 @@ def derive_calendar(horizon: float, c_length: float, start: float = 1.0) -> Cale
     return CalendarPartition(c_length=c_length, boundaries=tuple(boundaries), horizon=horizon)
 
 
-def interval_index(t: float, starts: Sequence[float], horizon: float) -> int:
-    """1-based index of the half-open interval [start_i, start_{i+1}) holding t.
+def interval_indices(times: np.ndarray, starts: Sequence[float], horizon: float) -> np.ndarray:
+    """1-based index of the half-open interval [start_i, start_{i+1}) holding each time.
 
     The last interval is closed on the right so that t == horizon maps to it.
     """
-    if t < starts[0] or t > horizon:
-        raise ConfigError(f"time {t} outside partition range [{starts[0]}, {horizon}]")
-    return bisect_right(starts, t)
-
-
-def interval_indices(times: np.ndarray, starts: Sequence[float], horizon: float) -> np.ndarray:
-    """Vectorized :func:`interval_index`."""
     times = np.asarray(times, dtype=float)
     if times.size and (times.min() < starts[0] or times.max() > horizon):
         raise ConfigError("times outside partition range")

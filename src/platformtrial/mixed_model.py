@@ -249,10 +249,3 @@ def reml_fit(
         converged=converged,
         iterations=int(res.nfev) + n_scan,
     )
-
-
-def mixed_wald_test(fit: MixedFit, coeff: str, sided: str = "one_greater", alpha: float = 0.025):
-    """Wald t-test on a fixed effect, with residual degrees of freedom n - p."""
-    from .regression_engine import wald_test
-
-    return wald_test(fit, coeff, sided=sided, alpha=alpha)

@@ -1,8 +1,6 @@
 """Least-squares core: design assembly, QR-based OLS, Wald t-tests.
 
-The Student-t CDF is computed here from the regularized incomplete beta
-function so that inference does not depend on an external statistical
-runtime; scipy is used only for the pivoted QR factorization.
+scipy provides the pivoted QR factorization and the Student-t distribution.
 """
 from __future__ import annotations
 
@@ -12,6 +10,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg import qr, solve_triangular
+from scipy.special import stdtr
 
 from .design import ConfigError, interval_indices
 from .spline import SplineBasis, basis_matrix
@@ -55,81 +54,13 @@ class WaldTest(NamedTuple):
     reject: bool
 
 
-# ---------------------------------------------------------------------------
-# Student-t distribution via the regularized incomplete beta function
-# ---------------------------------------------------------------------------
-
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta function (modified Lentz).
-
-    Evaluates the even/odd-term recurrence; converges quickly for
-    x < (a+1)/(a+b+2), which the caller guarantees.
-    """
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 500):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-15:
-            return h
-    raise ArithmeticError("incomplete beta continued fraction did not converge")
-
-
-def reg_inc_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b), accurate to ~1e-12."""
-    if a <= 0 or b <= 0:
-        raise ConfigError("incomplete beta requires a > 0 and b > 0")
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
 def t_sf(t: float, df: float) -> float:
     """Upper-tail probability P(T_df > t)."""
     if df <= 0:
         raise ConfigError(f"degrees of freedom must be positive, got {df}")
     if t != t:
         raise ConfigError("t statistic is NaN")
-    x = df / (df + t * t)
-    tail = 0.5 * reg_inc_beta(0.5 * df, 0.5, x)
-    return tail if t > 0 else 1.0 - tail
-
-
-def t_cdf(t: float, df: float) -> float:
-    return 1.0 - t_sf(t, df)
+    return float(stdtr(df, -t))
 
 
 # ---------------------------------------------------------------------------

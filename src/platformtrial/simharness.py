@@ -106,9 +106,8 @@ def run_replicate(scenario: Scenario, index: int) -> list[tuple[str, bool, bool,
             r: FitResult = fit(analysis_set, scenario.config.M, spec)
             failed = not bool(r.diagnostics.get("converged", True))
             out.append((spec.label, failed, bool(r.reject), float(r.theta_hat)))
-        except Exception as exc:  # rank deficiency etc.: recorded, never fatal
+        except Exception:  # rank deficiency etc.: recorded, never fatal
             out.append((spec.label, True, False, float("nan")))
-            _ = exc
     return out
 
 
@@ -214,10 +213,19 @@ class GridSpec:
         return mult
 
     def cells(self) -> list[Scenario]:
+        return [scenario for _, _, scenario in self._cells_with_axes()]
+
+    def _cells_with_axes(self) -> list[tuple[float, float | None, Scenario]]:
+        """(lambda, c_length, scenario) per cell, in axis-product order.
+
+        The c_length axis applies only when some estimator needs it.
+        """
         mult = self.multipliers()
+        needs_c_length = any(spec.kind.needs_c_length for spec in self.estimators)
+        c_lengths = self.c_lengths if needs_c_length else (None,)
         out = []
         for hypothesis, pattern, lam, d, c_length in itertools.product(
-            self.hypotheses, self.patterns, self.lambdas, self.d_values, self.c_lengths
+            self.hypotheses, self.patterns, self.lambdas, self.d_values, c_lengths
         ):
             config = TrialConfig(
                 K=self.K, d=d, n=self.n, eta0=self.eta0,
@@ -231,48 +239,31 @@ class GridSpec:
             )
             estimators = tuple(
                 replace(spec, c_length=c_length, alpha=self.alpha, sided=self.sided)
-                if "calendar" in spec.estimator
+                if spec.kind.needs_c_length
                 else replace(spec, alpha=self.alpha, sided=self.sided)
                 for spec in self.estimators
             )
-            out.append(
-                Scenario(
-                    config=config, trend=trend, estimators=estimators,
-                    hypothesis=hypothesis, replicates=self.replicates,
-                    seed=self.seed, label=self.setting,
-                )
-            )
+            out.append((float(lam), c_length, Scenario(
+                config=config, trend=trend, estimators=estimators,
+                hypothesis=hypothesis, replicates=self.replicates,
+                seed=self.seed, label=self.setting,
+            )))
         return out
-
-
-def _cell_axes(scenario: Scenario, grid: GridSpec):
-    """Recover the axis values of a cell for reporting."""
-    mult = grid.multipliers()
-    nonzero = [m for m in mult if m != 0.0]
-    lam_scalar = 0.0
-    if nonzero:
-        ref = nonzero[0]
-        idx = mult.index(ref)
-        lam_scalar = scenario.trend.lam[idx] / ref
-    c_lengths = {s.c_length for s in scenario.estimators if s.c_length is not None}
-    c_length = c_lengths.pop() if len(c_lengths) == 1 else None
-    return lam_scalar, c_length
 
 
 def run_grid(grid: GridSpec, threads: int = 1) -> list[dict]:
     """Run every cell of the grid; one output row per (cell, estimator)."""
     rows = []
-    for scenario in grid.cells():
-        lam_scalar, c_length = _cell_axes(scenario, grid)
+    for lam, c_length, scenario in grid._cells_with_axes():
         oc = run_scenario(scenario, threads=threads)
         for spec in scenario.estimators:
             st = oc.per_estimator[spec.label]
             rows.append({
                 "setting": grid.setting,
                 "pattern": scenario.trend.pattern,
-                "lambda": lam_scalar,
+                "lambda": lam,
                 "d": scenario.config.d,
-                "c_length": spec.c_length if spec.c_length is not None else c_length,
+                "c_length": c_length,
                 "estimator": st.estimator,
                 "hypothesis": scenario.hypothesis,
                 "reps": st.reps,

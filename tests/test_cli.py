@@ -80,9 +80,10 @@ class TestValidate:
         assert "line" in capsys.readouterr().err
 
     def test_print_config_round_trips(self, tmp_path, capsys):
-        path = write_config(tmp_path)
+        path = write_config(tmp_path, calendar={"c_length": [50, 100]})
         assert main(["validate", str(path), "--print-config"]) == 0
         printed = capsys.readouterr().out
+        assert "calendar" not in json.loads(printed)  # no estimator needs c_length
         round_trip = tmp_path / "normalized.json"
         round_trip.write_text(printed)
         assert main(["validate", str(round_trip), "--print-config"]) == 0

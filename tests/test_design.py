@@ -1,3 +1,5 @@
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,6 @@ from platformtrial.design import (
     derive_calendar,
     derive_periods,
     entry_times,
-    interval_index,
     interval_indices,
 )
 
@@ -84,7 +85,7 @@ class TestDeriveCalendar:
     def test_paper_sized_trial(self):
         part = derive_calendar(horizon=1528, c_length=100)
         # oracle: enumerate each patient time and count distinct units
-        seen = {interval_index(t, part.boundaries, part.horizon) for t in range(1, 1529)}
+        seen = set(interval_indices(np.arange(1, 1529), part.boundaries, part.horizon).tolist())
         assert part.n_intervals == 16
         assert seen == set(range(1, 17))
         last_width = 1528 - part.boundaries[-1] + 1
@@ -109,24 +110,26 @@ class TestIntervalIndex:
     STARTS = (1, 251, 501)
 
     def test_first_time(self):
-        assert interval_index(1, self.STARTS, horizon=700) == 1
+        assert interval_indices([1], self.STARTS, horizon=700).tolist() == [1]
 
     def test_boundary_belongs_to_starting_interval(self):
-        assert interval_index(251, self.STARTS, horizon=700) == 2
+        assert interval_indices([251], self.STARTS, horizon=700).tolist() == [2]
 
     def test_horizon_maps_to_last(self):
-        assert interval_index(700, self.STARTS, horizon=700) == 3
+        assert interval_indices([700], self.STARTS, horizon=700).tolist() == [3]
 
     def test_out_of_range(self):
         with pytest.raises(ConfigError):
-            interval_index(0, self.STARTS, horizon=700)
+            interval_indices([0], self.STARTS, horizon=700)
         with pytest.raises(ConfigError):
-            interval_index(701, self.STARTS, horizon=700)
+            interval_indices([701], self.STARTS, horizon=700)
 
     def test_vectorized_matches_scalar(self):
         ts = np.arange(1, 701)
         idx = interval_indices(ts, self.STARTS, horizon=700)
-        assert [interval_index(t, self.STARTS, 700) for t in (1, 250, 251, 500, 501, 700)] == [
+        # scalar definition: the number of interval starts at or before t
+        assert idx.tolist() == [bisect_right(self.STARTS, t) for t in ts]
+        assert interval_indices([1, 250, 251, 500, 501, 700], self.STARTS, 700).tolist() == [
             1, 1, 2, 2, 3, 3,
         ]
         assert idx.min() == 1 and idx.max() == 3

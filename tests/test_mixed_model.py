@@ -10,7 +10,6 @@ from platformtrial.mixed_model import (
     _RemlWorkspace,
     ar1_correlation,
     build_random_design,
-    mixed_wald_test,
     reml_fit,
     reml_neg2loglik,
 )
@@ -192,7 +191,7 @@ class TestMixedWald:
         fit = reml_fit(X, Z, y, columns=("intercept", "trt1"))
         assert fit.sigma2_random < 1e-6
         ols = ols_fit(DesignMatrix(X=X, y=y, columns=("intercept", "trt1")))
-        wt_mixed = mixed_wald_test(fit, "trt1")
+        wt_mixed = wald_test(fit, "trt1")
         wt_ols = wald_test(ols, "trt1")
         assert wt_mixed.p_one == pytest.approx(wt_ols.p_one, abs=1e-6)
 
@@ -204,4 +203,4 @@ class TestMixedWald:
             sigma2=fit.sigma2, sigma2_random=fit.sigma2_random, rho=fit.rho,
             reml_loglik=fit.reml_loglik, converged=fit.converged, iterations=fit.iterations,
         )
-        assert mixed_wald_test(patched, "intercept").p_one == 0.5
+        assert wald_test(patched, "intercept").p_one == 0.5

@@ -156,6 +156,19 @@ class TestRunGrid:
         header = path.read_text().splitlines()[0]
         assert header == ",".join(simharness.GRID_CSV_HEADER)
 
+    def test_custom_profile_reports_lambda_exactly(self):
+        grid = TestGridSpec.grid(profile=(0.0, 0.3, 0.7), lambdas=(-0.875,), replicates=1)
+        assert [row["lambda"] for row in run_grid(grid)] == [-0.875]
+
+    def test_zero_profile_reports_each_lambda(self):
+        grid = TestGridSpec.grid(profile=(0.0, 0.0, 0.0), lambdas=(-0.5, 0.5), replicates=1)
+        assert [row["lambda"] for row in run_grid(grid)] == [-0.5, 0.5]
+
+    def test_c_length_axis_dropped_without_calendar_estimator(self):
+        grid = TestGridSpec.grid(c_lengths=(50, 100), replicates=1)
+        assert len(grid.cells()) == 1
+        assert [row["c_length"] for row in run_grid(grid)] == [None]
+
     def test_grid_deterministic_across_threads(self):
         grid = TestGridSpec.grid(replicates=20)
         assert run_grid(grid, threads=1) == run_grid(grid, threads=2)
