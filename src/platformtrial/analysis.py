@@ -64,10 +64,12 @@ class ModelSpec:
     def __post_init__(self):
         if not isinstance(self.estimator, str) or self.estimator not in ESTIMATORS:
             raise ConfigError(f"unknown estimator {self.estimator!r}")
-        if self.kind.needs_c_length and (self.c_length is None or self.c_length < 1):
-            raise ConfigError(f"{self.estimator} requires c_length >= 1")
-        if self.kind.family == "spline" and self.spline_degree not in spline.DEGREES:
-            raise ConfigError(f"spline degree must be one of {spline.DEGREES}")
+        if self.kind.needs_c_length and (
+            self.c_length is None or not math.isfinite(self.c_length) or self.c_length < 1
+        ):
+            raise ConfigError(f"{self.estimator} requires a finite c_length >= 1")
+        if self.kind.family == "spline":
+            spline.check_degree(self.spline_degree)
         if not 0 < self.alpha < 1:
             raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.sided not in ("one_greater", "two"):

@@ -3,25 +3,23 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 
 from .analysis import ESTIMATORS, ModelSpec, default_model_set, fit, results_to_csv, results_to_json
 from .datagen import TREND_PATTERNS, arms_entered_by, read_csv, slice_for_arm, trend_value
 from .design import ConfigError
-from .simharness import GridSpec, LAMBDA_PROFILES, rows_to_csv, rows_to_json, run_grid
+from .simharness import (
+    GridSpec, LAMBDA_PROFILES, lambda_multipliers, rows_to_csv, rows_to_json, run_grid,
+)
+from .spline import check_degree
 
 CONFIG_SCHEMA_VERSION = 1
-
-_SECTION_KEYS = {
-    "trial": {"K", "d", "n", "eta0", "sigma", "M", "effect"},
-    "trend": {"patterns", "lambda", "profile", "n_p", "psi"},
-    "calendar": {"c_length"},
-    "run": {"hypotheses", "replicates", "seed", "alpha", "sided", "threads"},
-}
+_TOP_KEYS = ("schema", "setting", "trial", "trend", "calendar", "models", "run")
 
 
 class ConfigValidationError(Exception):
@@ -30,79 +28,134 @@ class ConfigValidationError(Exception):
         super().__init__("; ".join(self.errors))
 
 
-class _Validator:
-    def __init__(self):
-        self.errors: list[str] = []
+def _fail(path: str, msg: str):
+    raise ConfigValidationError([f"{path}: {msg}"])
 
-    def fail(self, path: str, msg: str):
-        self.errors.append(f"{path}: {msg}")
 
-    def require(self, obj: dict, path: str, key: str):
-        if key not in obj:
-            self.fail(f"{path}.{key}" if path else key, "missing required key")
-            return None
-        return obj[key]
+def _unknown_keys(obj: dict, path: str, allowed) -> list[str]:
+    return [f"{path}.{key}: unknown key" if path else f"{key}: unknown key"
+            for key in obj if key not in allowed]
 
-    def unknown_keys(self, obj: dict, path: str, allowed):
-        for key in obj:
-            if key not in allowed:
-                self.fail(f"{path}.{key}" if path else key, "unknown key")
 
-    def number(self, value, path, lo=None, hi=None, integer=False):
+def _number(lo=None, hi=None, integer=False):
+    def check(value, path):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            self.fail(path, "must be a number")
-            return None
+            _fail(path, "must be a number")
+        if isinstance(value, float) and not math.isfinite(value):  # json reads NaN, Infinity
+            _fail(path, "must be finite")
         if integer and int(value) != value:
-            self.fail(path, "must be an integer")
-            return None
+            _fail(path, "must be an integer")
         if lo is not None and value < lo:
-            self.fail(path, f"must be >= {lo}")
-            return None
+            _fail(path, f"must be >= {lo}")
         if hi is not None and value > hi:
-            self.fail(path, f"must be <= {hi}")
-            return None
+            _fail(path, f"must be <= {hi}")
         return int(value) if integer else float(value)
+    return check
 
-    def number_list(self, value, path, lo=None, integer=False):
+
+def _numbers(item):
+    """A non-empty list of ``item`` values; a bare number is a list of one."""
+    def check(value, path):
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             value = [value]
         if not isinstance(value, list) or not value:
-            self.fail(path, "must be a non-empty list of numbers")
-            return None
-        out = []
-        for i, v in enumerate(value):
-            n = self.number(v, f"{path}[{i}]", lo=lo, integer=integer)
-            if n is None:
-                return None
-            out.append(n)
-        return tuple(out)
+            _fail(path, "must be a non-empty list of numbers")
+        return tuple(item(v, f"{path}[{i}]") for i, v in enumerate(value))
+    return check
 
 
-def _validate_models(v: _Validator, models) -> tuple[ModelSpec, ...]:
+def _subset(allowed):
+    def check(value, path):
+        if not isinstance(value, list) or not value or any(v not in allowed for v in value):
+            _fail(path, f"must be a non-empty list from {', '.join(allowed)}")
+        return tuple(value)
+    return check
+
+
+def _one_of(allowed):
+    def check(value, path):
+        if value not in allowed:
+            _fail(path, f"must be one of {', '.join(allowed)}")
+        return value
+    return check
+
+
+def _optional(check):
+    return lambda value, path: None if value is None else check(value, path)
+
+
+def _profile(value, path):
+    if isinstance(value, list):
+        return _numbers(_number())(value, path)
+    if not isinstance(value, str) or value not in LAMBDA_PROFILES:
+        _fail(path, f"must be one of {', '.join(LAMBDA_PROFILES)} or a list")
+    return value
+
+
+# section -> config key -> (GridSpec field, check[, default]). A key without a
+# default here takes the GridSpec default, and is required when there is none.
+_CONFIG = {
+    "trial": {
+        "K": ("K", _number(lo=2, integer=True)),
+        "d": ("d_values", _numbers(_number(lo=0, integer=True))),
+        "n": ("n", _number(lo=2, integer=True)),
+        "eta0": ("eta0", _number()),
+        "sigma": ("sigma", _number(lo=1e-12)),
+        "M": ("M", _number(lo=1, integer=True)),
+        "effect": ("effect", _number()),
+    },
+    "trend": {
+        "patterns": ("patterns", _subset(TREND_PATTERNS)),
+        "lambda": ("lambdas", _numbers(_number()), (0.0,)),
+        "profile": ("profile", _profile),
+        "n_p": ("n_p", _optional(_number(lo=2, integer=True))),
+        "psi": ("psi", _optional(_number(lo=1e-9))),
+    },
+    "calendar": {"c_length": ("c_lengths", _numbers(_number(lo=1)))},
+    "run": {
+        "hypotheses": ("hypotheses", _subset(("null", "alternative"))),
+        "replicates": ("replicates", _number(lo=1, integer=True)),
+        "seed": ("seed", _number(lo=0, integer=True)),
+        "alpha": ("alpha", _number(lo=1e-9, hi=1 - 1e-9)),
+        "sided": ("sided", _one_of(("one_greater", "two"))),
+    },
+}
+
+
+def _model(entry, path) -> ModelSpec:
+    if not isinstance(entry, dict):
+        _fail(path, "must be an object with an 'estimator' key")
+    unknown = _unknown_keys(entry, path, ("estimator", "degree"))
+    if unknown:
+        raise ConfigValidationError(unknown)
+    name = entry.get("estimator")
+    if not isinstance(name, str) or name not in ESTIMATORS:
+        _fail(f"{path}.estimator", f"must be one of {', '.join(ESTIMATORS)}")
+    degree = entry.get("degree", 3)
+    try:
+        check_degree(degree)
+    except ConfigError as exc:
+        _fail(f"{path}.degree", str(exc))
+    # calendar estimators get the real c_length injected per grid cell
+    placeholder = 1 if ESTIMATORS[name].needs_c_length else None
+    return ModelSpec(name, c_length=placeholder, spline_degree=degree)
+
+
+def _models(models, errors: list[str]) -> tuple[ModelSpec, ...]:
     if not isinstance(models, list) or not models:
-        v.fail("models", "must be a non-empty list")
+        errors.append("models: must be a non-empty list")
         return ()
-    out = []
+    out, seen = [], {}
     for i, entry in enumerate(models):
-        path = f"models[{i}]"
-        if not isinstance(entry, dict):
-            v.fail(path, "must be an object with an 'estimator' key")
-            continue
-        v.unknown_keys(entry, path, {"estimator", "degree"})
-        name = entry.get("estimator")
-        if not isinstance(name, str) or name not in ESTIMATORS:
-            v.fail(f"{path}.estimator", f"must be one of {', '.join(ESTIMATORS)}")
-            continue
-        degree = entry.get("degree", 3)
-        if degree not in (1, 2, 3):
-            v.fail(f"{path}.degree", "must be 1, 2 or 3")
-            continue
-        # calendar estimators get the real c_length injected per grid cell
         try:
-            placeholder = 1 if ESTIMATORS[name].needs_c_length else None
-            out.append(ModelSpec(name, c_length=placeholder, spline_degree=degree))
-        except ConfigError as exc:
-            v.fail(path, str(exc))
+            spec = _model(entry, f"models[{i}]")
+        except ConfigValidationError as exc:
+            errors += exc.errors
+            continue
+        first = seen.setdefault(spec.label, i)
+        if first != i:
+            errors.append(f"models[{i}]: duplicate of models[{first}] ({spec.label})")
+        out.append(spec)
     return tuple(out)
 
 
@@ -118,125 +171,64 @@ def load_config(path) -> tuple[GridSpec, dict]:
     if not isinstance(doc, dict):
         raise ConfigValidationError(["config must be a JSON object"])
 
-    v = _Validator()
-    v.unknown_keys(doc, "", {"schema", "setting", "trial", "trend", "calendar", "models", "run"})
-    schema = doc.get("schema")
-    if schema != CONFIG_SCHEMA_VERSION:
-        v.fail("schema", f"must be {CONFIG_SCHEMA_VERSION}")
-    setting = doc.get("setting", "scenario")
-    if not isinstance(setting, str) or not setting:
-        v.fail("setting", "must be a non-empty string")
+    errors = _unknown_keys(doc, "", _TOP_KEYS)
+    if doc.get("schema") != CONFIG_SCHEMA_VERSION:
+        errors.append(f"schema: must be {CONFIG_SCHEMA_VERSION}")
+    values = {f.name: f.default for f in fields(GridSpec) if f.default is not MISSING}
+    values["setting"] = doc.get("setting", "scenario")
+    if not isinstance(values["setting"], str) or not values["setting"]:
+        errors.append("setting: must be a non-empty string")
+    for section, keys in _CONFIG.items():
+        obj = doc.get(section)
+        if obj is None and section == "calendar":
+            obj = {}
+        if not isinstance(obj, dict):
+            raise ConfigValidationError(errors + [f"{section}: missing or not an object"])
+        errors += _unknown_keys(obj, section, keys)
+        for key, (field, check, *default) in keys.items():
+            if key in obj:
+                try:
+                    values[field] = check(obj[key], f"{section}.{key}")
+                except ConfigValidationError as exc:
+                    errors += exc.errors
+                    values.pop(field, None)
+            elif default:
+                values[field] = default[0]
+            elif field not in values:
+                errors.append(f"{section}.{key}: missing required key")
 
-    trial = doc.get("trial")
-    if not isinstance(trial, dict):
-        v.fail("trial", "missing or not an object")
-        raise ConfigValidationError(v.errors)
-    v.unknown_keys(trial, "trial", _SECTION_KEYS["trial"])
-    K = v.number(v.require(trial, "", "K"), "trial.K", lo=2, integer=True)
-    d_values = v.number_list(v.require(trial, "", "d"), "trial.d", lo=0, integer=True)
-    n = v.number(v.require(trial, "", "n"), "trial.n", lo=2, integer=True)
-    M = v.number(v.require(trial, "", "M"), "trial.M", lo=1, integer=True)
-    eta0 = v.number(trial.get("eta0", 0.0), "trial.eta0")
-    sigma = v.number(trial.get("sigma", 1.0), "trial.sigma", lo=1e-12)
-    effect = v.number(trial.get("effect", 0.25), "trial.effect")
-    if K is not None and M is not None and M > K:
-        v.fail("trial.M", f"must be <= K ({K})")
-
-    trend = doc.get("trend")
-    if not isinstance(trend, dict):
-        v.fail("trend", "missing or not an object")
-        raise ConfigValidationError(v.errors)
-    v.unknown_keys(trend, "trend", _SECTION_KEYS["trend"])
-    patterns = trend.get("patterns")
-    if (
-        not isinstance(patterns, list)
-        or not patterns
-        or any(p not in TREND_PATTERNS for p in patterns)
-    ):
-        v.fail("trend.patterns", f"must be a non-empty list from {', '.join(TREND_PATTERNS)}")
-        patterns = ()
-    lambdas = v.number_list(trend.get("lambda", [0.0]), "trend.lambda")
-    profile = trend.get("profile", "equal")
-    if isinstance(profile, list):
-        profile = v.number_list(profile, "trend.profile") or "equal"
-    elif profile not in LAMBDA_PROFILES:
-        v.fail("trend.profile", f"must be one of {', '.join(LAMBDA_PROFILES)} or a list")
-        profile = "equal"
-    n_p = trend.get("n_p")
-    if n_p is not None:
-        n_p = v.number(n_p, "trend.n_p", lo=2, integer=True)
-    elif "inverted_u" in patterns:
-        v.fail("trend.n_p", "required when patterns include inverted_u")
-    psi = trend.get("psi")
-    if psi is not None:
-        psi = v.number(psi, "trend.psi", lo=1e-9)
-    elif "seasonal" in patterns:
-        v.fail("trend.psi", "required when patterns include seasonal")
-
-    models = _validate_models(v, doc.get("models"))
+    # cross-field rules; a field that failed its own check is absent from values
+    models = values["estimators"] = _models(doc.get("models"), errors)
+    if "K" in values and "M" in values and values["M"] > values["K"]:
+        errors.append(f"trial.M: must be <= K ({values['K']})")
+    if "K" in values and "profile" in values:
+        try:
+            lambda_multipliers(values["profile"], values["K"])
+        except ConfigError as exc:
+            errors.append(f"trend.profile: {exc}")
+    patterns = values.get("patterns", ())
+    if "inverted_u" in patterns and "n_p" in values and values["n_p"] is None:
+        errors.append("trend.n_p: required when patterns include inverted_u")
+    if "seasonal" in patterns and "psi" in values and values["psi"] is None:
+        errors.append("trend.psi: required when patterns include seasonal")
     needs_calendar = any(s.kind.needs_c_length for s in models)
-    calendar = doc.get("calendar")
-    c_lengths: tuple = (None,)
-    if calendar is not None:
-        if not isinstance(calendar, dict):
-            v.fail("calendar", "must be an object")
-        else:
-            v.unknown_keys(calendar, "calendar", _SECTION_KEYS["calendar"])
-            c_lengths = v.number_list(calendar.get("c_length"), "calendar.c_length", lo=1) or (None,)
-    elif needs_calendar:
-        v.fail("calendar.c_length", "required by calendar-based estimators")
+    if needs_calendar and values.get("c_lengths") == (None,):
+        errors.append("calendar.c_length: required by calendar-based estimators")
+    if errors:
+        raise ConfigValidationError(errors)
 
-    run = doc.get("run")
-    if not isinstance(run, dict):
-        v.fail("run", "missing or not an object")
-        raise ConfigValidationError(v.errors)
-    v.unknown_keys(run, "run", _SECTION_KEYS["run"])
-    hypotheses = run.get("hypotheses", ["null"])
-    if (
-        not isinstance(hypotheses, list)
-        or not hypotheses
-        or any(h not in ("null", "alternative") for h in hypotheses)
-    ):
-        v.fail("run.hypotheses", "must be a non-empty list of 'null'/'alternative'")
-        hypotheses = ("null",)
-    replicates = v.number(run.get("replicates", 1000), "run.replicates", lo=1, integer=True)
-    seed = v.number(run.get("seed", 0), "run.seed", integer=True)
-    alpha = v.number(run.get("alpha", 0.025), "run.alpha", lo=1e-9, hi=1 - 1e-9)
-    sided = run.get("sided", "one_greater")
-    if sided not in ("one_greater", "two"):
-        v.fail("run.sided", "must be 'one_greater' or 'two'")
-    threads = v.number(run.get("threads", 1), "run.threads", lo=1, integer=True)
-
-    if v.errors:
-        raise ConfigValidationError(v.errors)
-
-    grid = GridSpec(
-        setting=setting, K=K, n=n, M=M, estimators=models,
-        d_values=d_values, patterns=tuple(patterns), lambdas=lambdas,
-        hypotheses=tuple(hypotheses), c_lengths=c_lengths, profile=profile,
-        eta0=eta0, effect=effect, sigma=sigma, n_p=n_p, psi=psi,
-        replicates=replicates, seed=seed, alpha=alpha, sided=sided,
-    )
-    normalized = {
-        "schema": CONFIG_SCHEMA_VERSION,
-        "setting": setting,
-        "trial": {"K": K, "d": list(d_values), "n": n, "eta0": eta0, "sigma": sigma,
-                  "M": M, "effect": effect},
-        "trend": {"patterns": list(patterns), "lambda": list(lambdas),
-                  "profile": profile if isinstance(profile, str) else list(profile),
-                  "n_p": n_p, "psi": psi},
-        "calendar": {"c_length": list(c_lengths)} if needs_calendar else None,
-        "models": [
-            {"estimator": s.estimator, "degree": s.spline_degree}
-            if s.kind.family == "spline" else {"estimator": s.estimator}
-            for s in models
-        ],
-        "run": {"hypotheses": list(hypotheses), "replicates": replicates, "seed": seed,
-                "alpha": alpha, "sided": sided, "threads": threads},
-    }
-    if normalized["calendar"] is None:
-        del normalized["calendar"]
-    return grid, normalized
+    out = {"schema": CONFIG_SCHEMA_VERSION, "setting": values["setting"], "models": [
+        {"estimator": s.estimator, "degree": s.spline_degree}
+        if s.kind.family == "spline" else {"estimator": s.estimator}
+        for s in models
+    ]}
+    for section, keys in _CONFIG.items():
+        if section != "calendar" or needs_calendar:
+            out[section] = {
+                key: list(v) if isinstance(v := values[field], tuple) else v
+                for key, (field, *_) in keys.items()
+            }
+    return GridSpec(**values), {key: out[key] for key in _TOP_KEYS if key in out}
 
 
 def _default_threads() -> int:

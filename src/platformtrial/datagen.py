@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
 
@@ -287,18 +288,28 @@ def read_csv(path) -> TrialDataset:
         if header is None or [h.strip() for h in header] != list(CSV_HEADER):
             raise ConfigError(f"expected CSV header {','.join(CSV_HEADER)}")
         j, arm, t, y = [], [], [], []
+        line_of_j: dict[int, int] = {}
         for lineno, row in enumerate(r, start=2):
             if not row:
                 continue
             if len(row) != 4:
                 raise ConfigError(f"line {lineno}: expected 4 fields, got {len(row)}")
             try:
-                j.append(int(float(row[0])))
-                arm.append(int(float(row[1])))
-                t.append(float(row[2]))
-                y.append(float(row[3]))
+                values = [float(field) for field in row]
             except ValueError as exc:
                 raise ConfigError(f"line {lineno}: non-numeric field ({exc})") from None
+            if not all(map(math.isfinite, values)):
+                raise ConfigError(f"line {lineno}: non-finite value")
+            patient = int(values[0])
+            if patient in line_of_j:
+                raise ConfigError(
+                    f"line {lineno}: duplicate j={patient} (first on line {line_of_j[patient]})"
+                )
+            line_of_j[patient] = lineno
+            j.append(patient)
+            arm.append(int(values[1]))
+            t.append(values[2])
+            y.append(values[3])
     if not j:
         raise ConfigError("dataset is empty")
     arm_arr = np.asarray(arm, dtype=np.int64)

@@ -7,6 +7,7 @@ applies.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -114,8 +115,8 @@ def derive_calendar(horizon: float, c_length: float, start: float = 1.0) -> Cale
     The final unit is whatever is left before the horizon, so it is usually
     shorter than ``c_length``.
     """
-    if c_length < 1:
-        raise ConfigError(f"c_length must be >= 1, got {c_length}")
+    if not (math.isfinite(c_length) and c_length >= 1):  # NaN would never pass the horizon
+        raise ConfigError(f"c_length must be a finite number >= 1, got {c_length}")
     if horizon < start:
         raise ConfigError(f"horizon {horizon} lies before trial start {start}")
     boundaries = []

@@ -37,6 +37,19 @@ LAMBDA_PROFILES = {
 }
 
 
+def lambda_multipliers(profile: tuple[float, ...] | str, K: int) -> tuple[float, ...]:
+    """Per-arm multipliers of the trend strength (control first) for K arms."""
+    if isinstance(profile, str):
+        if profile not in LAMBDA_PROFILES:
+            raise ConfigError(f"unknown lambda profile {profile!r}")
+        mult = LAMBDA_PROFILES[profile](K)
+    else:
+        mult = tuple(float(x) for x in profile)
+    if len(mult) != K + 1:
+        raise ConfigError(f"lambda profile needs K+1={K + 1} multipliers, got {len(mult)}")
+    return mult
+
+
 @dataclass(frozen=True)
 class Scenario:
     config: TrialConfig
@@ -200,17 +213,7 @@ class GridSpec:
                 raise ConfigError(f"empty grid: no values for {name}")
 
     def multipliers(self) -> tuple[float, ...]:
-        if isinstance(self.profile, str):
-            if self.profile not in LAMBDA_PROFILES:
-                raise ConfigError(f"unknown lambda profile {self.profile!r}")
-            mult = LAMBDA_PROFILES[self.profile](self.K)
-        else:
-            mult = tuple(float(x) for x in self.profile)
-        if len(mult) != self.K + 1:
-            raise ConfigError(
-                f"lambda profile needs K+1={self.K + 1} multipliers, got {len(mult)}"
-            )
-        return mult
+        return lambda_multipliers(self.profile, self.K)
 
     def cells(self) -> list[Scenario]:
         return [scenario for _, _, scenario in self._cells_with_axes()]

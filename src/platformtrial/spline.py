@@ -11,6 +11,13 @@ from .design import CalendarPartition, ConfigError
 DEGREES = (1, 2, 3)
 
 
+def check_degree(degree) -> None:
+    # 2.0 and True compare equal to allowed degrees but break knot padding and labels
+    integral = isinstance(degree, (int, np.integer)) and not isinstance(degree, bool)
+    if not integral or degree not in DEGREES:
+        raise ConfigError(f"spline degree must be one of {DEGREES}, got {degree!r}")
+
+
 @dataclass(frozen=True)
 class SplineBasis:
     """Degree-q B-spline basis on [t_min, t_max] with the given inner knots."""
@@ -20,8 +27,7 @@ class SplineBasis:
     boundary: tuple[float, float]
 
     def __post_init__(self):
-        if self.degree not in DEGREES:
-            raise ConfigError(f"spline degree must be one of {DEGREES}, got {self.degree}")
+        check_degree(self.degree)
         lo, hi = self.boundary
         if not lo < hi:
             raise ConfigError(f"boundary knots must satisfy t_min < t_max, got {self.boundary}")
@@ -62,35 +68,15 @@ def knots_from_calendar(partition: CalendarPartition, degree: int = 3) -> Spline
 
 
 def basis_matrix(times: np.ndarray, basis: SplineBasis) -> np.ndarray:
-    """Evaluate all basis functions at the given times (Cox-de Boor recursion).
+    """Evaluate all basis functions at the given times (scipy's B-spline design matrix).
 
     Returns an array of shape (len(times), basis.dim); each row sums to 1.
     The final interval is closed on the right so t == t_max is valid.
     """
+    from scipy.interpolate import BSpline  # deferred: importing it slows package import
+
     t = np.asarray(times, dtype=float)
     lo, hi = basis.boundary
     if t.size and (t.min() < lo or t.max() > hi):
         raise ConfigError(f"spline evaluated outside boundary [{lo}, {hi}]")
-    knots = basis.padded_knots()
-    q = basis.degree
-    n_spans = knots.size - 1
-    B = np.zeros((t.size, n_spans))
-    for i in range(n_spans):
-        if knots[i] < knots[i + 1]:
-            if knots[i + 1] == hi:
-                B[:, i] = (t >= knots[i]) & (t <= knots[i + 1])
-            else:
-                B[:, i] = (t >= knots[i]) & (t < knots[i + 1])
-    for d in range(1, q + 1):
-        nxt = np.zeros((t.size, n_spans - d))
-        for i in range(n_spans - d):
-            left_den = knots[i + d] - knots[i]
-            right_den = knots[i + d + 1] - knots[i + 1]
-            acc = 0.0
-            if left_den > 0:
-                acc = (t - knots[i]) / left_den * B[:, i]
-            if right_den > 0:
-                acc = acc + (knots[i + d + 1] - t) / right_den * B[:, i + 1]
-            nxt[:, i] = acc
-        B = nxt
-    return B
+    return BSpline.design_matrix(t, basis.padded_knots(), basis.degree).toarray()

@@ -39,6 +39,11 @@ class TestModelSpec:
             ModelSpec("fixed_calendar")
         ModelSpec("fixed_calendar", c_length=100)
 
+    @pytest.mark.parametrize("c_length", [float("nan"), float("inf")])
+    def test_non_finite_c_length_rejected(self, c_length):
+        with pytest.raises(ConfigError, match="finite"):
+            ModelSpec("fixed_calendar", c_length=c_length)
+
     def test_unknown_estimator(self):
         with pytest.raises(ConfigError):
             ModelSpec("bayes_machine")
@@ -46,6 +51,11 @@ class TestModelSpec:
     def test_spline_degree_validated(self):
         with pytest.raises(ConfigError):
             ModelSpec("spline_period", spline_degree=5)
+
+    @pytest.mark.parametrize("degree", [2.0, True])
+    def test_non_integer_spline_degree_rejected(self, degree):
+        with pytest.raises(ConfigError, match="spline degree"):
+            ModelSpec("spline_period", spline_degree=degree)
 
     def test_labels(self):
         assert ModelSpec("fixed_period").label == "fixed_period"

@@ -79,6 +79,34 @@ class TestValidate:
         assert main(["validate", str(path)]) == 2
         assert "line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key, value, field", [
+        ("run", "threads", 2, "run.threads"),
+        ("run", "seed", -1, "run.seed"),
+        ("trend", "profile", [0.0, 1.0], "trend.profile"),
+        ("trend", "profile", "arms124", "trend.profile"),
+        ("trial", "eta0", float("nan"), "trial.eta0"),
+    ])
+    def test_value_rejected_with_field_path(self, tmp_path, capsys, section, key,
+                                            value, field):
+        path = write_config(tmp_path)
+        doc = json.loads(path.read_text())
+        doc[section][key] = value
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        assert f"config error: {field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("degree", [2.0, True])
+    def test_non_integer_degree_rejected(self, tmp_path, capsys, degree):
+        path = write_config(tmp_path, models=[{"estimator": "pooled"},
+                                              {"estimator": "spline_period", "degree": degree}])
+        assert main(["validate", str(path)]) == 2
+        assert "models[1].degree" in capsys.readouterr().err
+
+    def test_duplicate_model_rejected(self, tmp_path, capsys):
+        path = write_config(tmp_path, models=[{"estimator": "pooled"}, {"estimator": "pooled"}])
+        assert main(["validate", str(path)]) == 2
+        assert "models[1]: duplicate of models[0]" in capsys.readouterr().err
+
     def test_print_config_round_trips(self, tmp_path, capsys):
         path = write_config(tmp_path, calendar={"c_length": [50, 100]})
         assert main(["validate", str(path), "--print-config"]) == 0
@@ -88,6 +116,12 @@ class TestValidate:
         round_trip.write_text(printed)
         assert main(["validate", str(round_trip), "--print-config"]) == 0
         assert capsys.readouterr().out == printed
+        for cfg in sorted(CONFIGS.glob("*.json")):
+            assert main(["validate", str(cfg), "--print-config"]) == 0
+            printed = capsys.readouterr().out
+            round_trip.write_text(printed)
+            assert main(["validate", str(round_trip), "--print-config"]) == 0
+            assert capsys.readouterr().out == printed, cfg.name
 
 
 class TestSimulate:
@@ -186,6 +220,27 @@ class TestAnalyze:
         bad.write_text("j,arm,response\n1,0,0.4\n")
         assert main(["analyze", "--data", str(bad), "--arm", "1"]) == 2
         assert "header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column, value", [("response", "nan"), ("time", "inf")])
+    def test_non_finite_value_exits_two(self, tmp_path, capsys, column, value):
+        data, _ = make_dataset_csv(tmp_path, seed=5)
+        lines = data.read_text().splitlines()
+        fields = lines[9].split(",")
+        fields[("j", "arm", "time", "response").index(column)] = value
+        lines[9] = ",".join(fields)
+        data.write_text("\n".join(lines) + "\n")
+        assert main(["analyze", "--data", str(data), "--arm", "1",
+                     "--models", "fixed_period,pooled"]) == 2
+        assert "line 10: non-finite" in capsys.readouterr().err
+
+    def test_duplicate_patient_exits_two(self, tmp_path, capsys):
+        data, _ = make_dataset_csv(tmp_path, seed=5)
+        lines = data.read_text().splitlines()
+        data.write_text("\n".join(lines + [lines[4]]) + "\n")
+        assert main(["analyze", "--data", str(data), "--arm", "1",
+                     "--models", "fixed_period,pooled"]) == 2
+        err = capsys.readouterr().err
+        assert f"line {len(lines) + 1}: duplicate" in err and "first on line 5" in err
 
     def test_absent_arm_exits_two(self, tmp_path, capsys):
         data, _ = make_dataset_csv(tmp_path, seed=3)

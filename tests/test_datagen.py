@@ -193,6 +193,19 @@ class TestCsvRoundTrip:
         with pytest.raises(ConfigError, match="non-numeric"):
             read_csv(path)
 
+    @pytest.mark.parametrize("row", ["3,1,nan,0.5", "3,1,3.0,inf", "inf,1,3.0,0.5"])
+    def test_non_finite_field(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"j,arm,time,response\n1,0,1,0.2\n2,1,2,0.1\n{row}\n")
+        with pytest.raises(ConfigError, match="line 4: non-finite"):
+            read_csv(path)
+
+    def test_duplicate_j(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("j,arm,time,response\n1,0,1,0.2\n2,1,2,0.1\n1,0,1,0.2\n")
+        with pytest.raises(ConfigError, match="line 4: duplicate j=1 .first on line 2"):
+            read_csv(path)
+
     def test_empirical_timeline(self):
         arm = np.array([0, 1, 0, 2, 1, 2, 0])
         t = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])

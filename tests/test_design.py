@@ -105,6 +105,10 @@ class TestDeriveCalendar:
         with pytest.raises(ConfigError):
             derive_calendar(horizon=100, c_length=0)
 
+    def test_infinite_c_length_rejected(self):
+        with pytest.raises(ConfigError, match="finite"):
+            derive_calendar(horizon=100, c_length=float("inf"))
+
 
 class TestIntervalIndex:
     STARTS = (1, 251, 501)

@@ -39,6 +39,11 @@ class TestKnotPlacement:
         with pytest.raises(ConfigError):
             SplineBasis(degree=4, inner_knots=(), boundary=(0.0, 1.0))
 
+    @pytest.mark.parametrize("degree", [2.0, True])
+    def test_non_integer_degree_rejected(self, degree):
+        with pytest.raises(ConfigError, match="spline degree"):
+            SplineBasis(degree=degree, inner_knots=(), boundary=(0.0, 1.0))
+
     def test_unsorted_inner_knots(self):
         with pytest.raises(ConfigError):
             SplineBasis(degree=2, inner_knots=(5.0, 2.0), boundary=(0.0, 10.0))
