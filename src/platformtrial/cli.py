@@ -231,26 +231,37 @@ def load_config(path) -> tuple[GridSpec, dict]:
     return GridSpec(**values), {key: out[key] for key in _TOP_KEYS if key in out}
 
 
-def _default_threads() -> int:
+def _worker_count(value, source: str) -> int:
     try:
-        return max(1, int(os.environ.get("PLATFORMTRIAL_THREADS", "1")))
+        count = int(value)
     except ValueError:
-        return 1
+        count = 0
+    if count < 1:
+        raise ConfigError(f"{source}: must be an integer >= 1, got {value!r}")
+    return count
+
+
+def _default_threads() -> int:
+    """Worker count from PLATFORMTRIAL_THREADS, 1 when it is unset."""
+    return _worker_count(os.environ.get("PLATFORMTRIAL_THREADS", "1"), "PLATFORMTRIAL_THREADS")
 
 
 def cmd_simulate(args) -> int:
     grid, normalized = load_config(args.config)
-    if args.reps is not None:
-        grid = replace(grid, replicates=args.reps)
-        normalized["run"]["replicates"] = args.reps
-    if args.seed is not None:
-        grid = replace(grid, seed=args.seed)
-        normalized["run"]["seed"] = args.seed
+    for flag, key in (("reps", "replicates"), ("seed", "seed")):
+        value = getattr(args, flag)
+        if value is not None:
+            field, check = _CONFIG["run"][key][:2]  # the bounds the config key has
+            value = check(value, f"--{flag}")
+            grid = replace(grid, **{field: value})
+            normalized["run"][key] = value
+    threads = (
+        _default_threads() if args.threads is None else _worker_count(args.threads, "--threads")
+    )
     if args.print_config:
         json.dump(normalized, sys.stdout, indent=2)
         sys.stdout.write("\n")
         return 0
-    threads = args.threads if args.threads is not None else _default_threads()
     rows = run_grid(grid, threads=threads)
     rows_to_csv(rows, args.out)
     if args.json_out:

@@ -4,7 +4,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -105,18 +105,6 @@ def trend_value(pattern, j, lam_k, n_total, n_p=None, psi=None, arms_entered=Non
     return out if out.ndim else float(out)
 
 
-def block_randomize(active_arms: Iterable[int], rng: np.random.Generator) -> Iterator[int]:
-    """Infinite assignment stream for a fixed set of active experimental arms.
-
-    Each block contains the control and every active arm exactly twice, in
-    uniformly shuffled order (block size 2*(n_active+1)). The caller starts
-    a fresh stream whenever the active-arm set changes.
-    """
-    members = np.array([0] + sorted(active_arms), dtype=np.int64).repeat(2)
-    while True:
-        yield from rng.permutation(members)
-
-
 def _resolve_effects(config: TrialConfig, hypothesis) -> np.ndarray:
     """Per-arm treatment effects (index 0 = control) under the hypothesis."""
     if isinstance(hypothesis, str):
@@ -138,39 +126,55 @@ def _resolve_effects(config: TrialConfig, hypothesis) -> np.ndarray:
 
 
 def _assign_all(config: TrialConfig, rng: np.random.Generator):
-    """Run the full randomization stream until every arm reaches n patients."""
+    """Run the randomization stream until every arm reaches n patients.
+
+    Between two events (an arm entering, an arm completing) the set of
+    recruiting arms is fixed, and patients are assigned in blocks holding
+    the control and every recruiting arm twice, in uniformly shuffled order.
+    An event discards the rest of the current block. While no experimental
+    arm recruits, everyone goes to control.
+
+    The blocks between two events are drawn in one ``rng.permuted`` call,
+    which shuffles row by row exactly as that many ``rng.permutation`` calls
+    would. The number of blocks is known in advance: every block holds each
+    arm twice, so the arm closest to n completes in block ceil(need / 2),
+    unless the next entry comes first.
+    """
+    K, n = config.K, config.n
     entries = entry_times(config)
-    counts = [0] * (config.K + 1)
-    exits = [0] * config.K
-    remaining = config.K
-    entry_set = set(entries)
-    assignments: list[int] = []
-    active: tuple[int, ...] = ()
-    stream: Iterator[int] | None = None
-    j = 0
-    refresh = True
-    while remaining:
-        j += 1
-        if refresh or j in entry_set:
-            now_active = tuple(
-                k for k in range(1, config.K + 1) if entries[k - 1] <= j and counts[k] < config.n
-            )
-            if now_active != active or stream is None:
-                active = now_active
-                # partial block from the previous arm set is discarded
-                stream = block_randomize(active, rng) if active else None
-            refresh = False
-        if stream is None:
-            arm = 0  # no experimental arm recruiting: everyone goes to control
+    counts = np.zeros(K + 1, dtype=np.int64)
+    exits = [0] * K
+    segments = []
+    j = 0  # patients assigned so far
+    while (counts[1:] < n).any():
+        upcoming = [e for e in entries if e > j + 1]
+        horizon = upcoming[0] - (j + 1) if upcoming else None  # patients before the next entry
+        active = [k for k in range(1, K + 1) if entries[k - 1] <= j + 1 and counts[k] < n]
+        if not active:  # control only, until the next arm enters
+            segment = np.zeros(horizon, dtype=np.int64)
         else:
-            arm = int(next(stream))
-        counts[arm] += 1
-        assignments.append(arm)
-        if arm != 0 and counts[arm] == config.n:
-            exits[arm - 1] = j
-            remaining -= 1
-            refresh = True
-    return np.asarray(assignments, dtype=np.int64), entries, tuple(exits)
+            members = np.array([0] + active, dtype=np.int64).repeat(2)
+            need = n - counts[active]
+            n_blocks = -(-int(need.min()) // 2)
+            if horizon is not None:
+                n_blocks = min(n_blocks, -(-horizon // members.size))
+            blocks = rng.permuted(np.tile(members, (n_blocks, 1)), axis=1)
+            size = blocks.size if horizon is None else min(horizon, blocks.size)
+            completing = 0
+            for k, need_k in zip(active, need):
+                block = (need_k - 1) // 2
+                if block < n_blocks:
+                    within = np.flatnonzero(blocks[block] == k)[(need_k - 1) % 2]
+                    end = block * members.size + within + 1
+                    if end <= size:
+                        size, completing = int(end), k
+            if completing:
+                exits[completing - 1] = j + size
+            segment = blocks.ravel()[:size]
+        counts += np.bincount(segment, minlength=K + 1)
+        segments.append(segment)
+        j += segment.size
+    return np.concatenate(segments), entries, tuple(exits)
 
 
 def generate_trial(

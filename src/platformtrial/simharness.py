@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import blas
 from .analysis import FitResult, ModelSpec, fit
 from .datagen import TrendSpec, generate_trial, slice_for_arm
 from .design import ConfigError, TrialConfig
@@ -125,26 +126,31 @@ def run_replicate(scenario: Scenario, index: int) -> list[tuple[str, bool, bool,
 
 
 def _run_chunk(scenario: Scenario, indices: Sequence[int]):
-    return [run_replicate(scenario, i) for i in indices]
+    with blas.single_thread():
+        return [run_replicate(scenario, i) for i in indices]
 
 
 def run_scenario(scenario: Scenario, threads: int = 1) -> OperatingCharacteristics:
     """Estimate rejection rate, estimate moments, and failure counts per estimator.
 
     Failed replicates (non-convergence or fit errors) are excluded from the
-    rates and reported in ``failures``.
+    rates and reported in ``failures``. Replicates run with every OpenBLAS at
+    one thread; ``threads`` worker processes (at most one per replicate) run
+    them in parallel.
     """
     indices = list(range(scenario.replicates))
-    if threads > 1:
-        chunks = [indices[i::threads] for i in range(threads)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            chunk_results = list(pool.map(_run_chunk, itertools.repeat(scenario), chunks))
-        per_rep: list = [None] * scenario.replicates
-        for chunk, results in zip(chunks, chunk_results):
-            for i, res in zip(chunk, results):
-                per_rep[i] = res
-    else:
-        per_rep = [run_replicate(scenario, i) for i in indices]
+    workers = min(threads, scenario.replicates)
+    with blas.single_thread():
+        if workers > 1:
+            chunks = [indices[i::workers] for i in range(workers)]
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                chunk_results = list(pool.map(_run_chunk, itertools.repeat(scenario), chunks))
+            per_rep: list = [None] * scenario.replicates
+            for chunk, results in zip(chunks, chunk_results):
+                for i, res in zip(chunk, results):
+                    per_rep[i] = res
+        else:
+            per_rep = [run_replicate(scenario, i) for i in indices]
 
     labels = [spec.label for spec in scenario.estimators]
     per_estimator: dict[str, EstimatorStats] = {}

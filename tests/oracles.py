@@ -4,7 +4,8 @@ Each oracle deliberately takes a different algorithmic route than the
 package code it checks: naive recursion instead of the iterated basis
 build, numerical quadrature instead of the incomplete-beta evaluation,
 explicit normal equations instead of QR, dense matrix algebra instead of
-the Woodbury path.
+the Woodbury path, a patient-by-patient randomization loop instead of
+drawing the blocks between two events at once.
 """
 from __future__ import annotations
 
@@ -12,6 +13,8 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+
+from platformtrial.design import entry_times
 
 
 def naive_bspline(x: float, k: int, i: int, t: np.ndarray) -> float:
@@ -76,3 +79,47 @@ def dense_reml_neg2ll(X, Z, y, gamma, rho=0.0) -> float:
         + np.linalg.slogdet(XtWiX)[1]
         + (n - p)
     )
+
+
+def block_randomize(active_arms, rng: np.random.Generator):
+    """Infinite assignment stream: blocks of the control and each arm twice, shuffled."""
+    members = np.array([0] + sorted(active_arms), dtype=np.int64).repeat(2)
+    while True:
+        yield from rng.permutation(members)
+
+
+def assign_per_patient(config, rng: np.random.Generator):
+    """(assignments, entries, exits) by one loop step per patient.
+
+    The active arm set is re-evaluated at each entry time and after each
+    arm completes; a change starts a fresh block stream, discarding the
+    partial block.
+    """
+    entries = entry_times(config)
+    counts = [0] * (config.K + 1)
+    exits = [0] * config.K
+    remaining = config.K
+    entry_set = set(entries)
+    assignments: list[int] = []
+    active: tuple[int, ...] = ()
+    stream = None
+    j = 0
+    refresh = True
+    while remaining:
+        j += 1
+        if refresh or j in entry_set:
+            now_active = tuple(
+                k for k in range(1, config.K + 1) if entries[k - 1] <= j and counts[k] < config.n
+            )
+            if now_active != active or stream is None:
+                active = now_active
+                stream = block_randomize(active, rng) if active else None
+            refresh = False
+        arm = 0 if stream is None else int(next(stream))
+        counts[arm] += 1
+        assignments.append(arm)
+        if arm != 0 and counts[arm] == config.n:
+            exits[arm - 1] = j
+            remaining -= 1
+            refresh = True
+    return np.asarray(assignments, dtype=np.int64), entries, tuple(exits)

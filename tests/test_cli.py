@@ -146,6 +146,27 @@ class TestSimulate:
         assert main(["simulate", str(cfg), "--out", str(out2), "--threads", "2"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--seed", "-1"], "--seed"),
+        (["--reps", "0"], "--reps"),
+        (["--threads", "0"], "--threads"),
+        (["--threads", "-3"], "--threads"),
+    ])
+    def test_out_of_range_flag_exits_two(self, tmp_path, capsys, monkeypatch, flags, named):
+        monkeypatch.delenv("PLATFORMTRIAL_THREADS", raising=False)
+        out = tmp_path / "never.csv"
+        assert main(["simulate", str(write_config(tmp_path)), "--out", str(out), *flags]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
+    def test_bad_thread_variable_exits_two(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("PLATFORMTRIAL_THREADS", value)
+        out = tmp_path / "never.csv"
+        assert main(["simulate", str(write_config(tmp_path)), "--out", str(out)]) == 2
+        assert "PLATFORMTRIAL_THREADS" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_reps_override_and_json_mirror(self, tmp_path):
         out = tmp_path / "r.csv"
         jout = tmp_path / "r.json"
@@ -333,7 +354,13 @@ class TestTrendPreview:
 def test_thread_default_from_environment(monkeypatch):
     from platformtrial.cli import _default_threads
 
+    from platformtrial.design import ConfigError
+
+    monkeypatch.delenv("PLATFORMTRIAL_THREADS", raising=False)
+    assert _default_threads() == 1
     monkeypatch.setenv("PLATFORMTRIAL_THREADS", "3")
     assert _default_threads() == 3
-    monkeypatch.setenv("PLATFORMTRIAL_THREADS", "not-a-number")
-    assert _default_threads() == 1
+    for bad in ("not-a-number", "0"):
+        monkeypatch.setenv("PLATFORMTRIAL_THREADS", bad)
+        with pytest.raises(ConfigError, match="PLATFORMTRIAL_THREADS"):
+            _default_threads()

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import assign_per_patient
 
 from platformtrial.datagen import (
     TrendSpec,
+    _assign_all,
     arms_entered_by,
-    block_randomize,
     empirical_timeline,
     generate_trial,
     read_csv,
@@ -54,22 +57,48 @@ class TestTrendValue:
         assert list(got) == [1, 1, 2, 3, 4, 4]
 
 
+def assignments(K, d, n, seed):
+    return _assign_all(make_config(K=K, d=d, n=n, theta=(0.25,) * K, M=1), np.random.default_rng(seed))[0]
+
+
 class TestBlockRandomize:
+    """Full blocks at the start of generated assignment streams."""
+
     def test_single_arm_block_is_permutation(self):
-        stream = block_randomize({1}, np.random.default_rng(0))
-        block = [next(stream) for _ in range(4)]
-        assert sorted(block) == [0, 0, 1, 1]
+        # only arm 1 recruits before t=101, and it completes in the 25th block
+        arms = assignments(K=2, d=100, n=50, seed=0)
+        for start in range(0, 96, 4):
+            assert sorted(arms[start:start + 4]) == [0, 0, 1, 1]
 
     def test_three_arm_block_counts(self):
-        stream = block_randomize({1, 2, 3}, np.random.default_rng(1))
-        block = [next(stream) for _ in range(8)]
-        assert sorted(block) == [0, 0, 1, 1, 2, 2, 3, 3]
+        arms = assignments(K=3, d=0, n=50, seed=1)
+        assert sorted(arms[:8]) == [0, 0, 1, 1, 2, 2, 3, 3]
 
     def test_two_full_blocks_give_count_four_each(self):
         for seed in range(5):
-            stream = block_randomize({1, 2}, np.random.default_rng(seed))
-            draws = [next(stream) for _ in range(4 * 3)]
+            draws = list(assignments(K=2, d=0, n=50, seed=seed)[:4 * 3])
             assert all(draws.count(a) == 4 for a in (0, 1, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    K=st.integers(min_value=2, max_value=8),
+    d=st.one_of(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=300)),
+    n=st.integers(min_value=2, max_value=60),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_assignment_matches_per_patient_oracle(K, d, n, seed):
+    """Same assignments, exits and generator state as one loop step per patient.
+
+    d > 2n leaves control-only stretches between arms; d = 0 starts all arms at once.
+    """
+    config = make_config(K=K, d=d, n=n, theta=(0.25,) * K, M=1)
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    arms, entries, exits = _assign_all(config, rng)
+    want_arms, want_entries, want_exits = assign_per_patient(config, oracle_rng)
+    assert np.array_equal(arms, want_arms)
+    assert entries == want_entries and exits == want_exits
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 class TestGenerateTrial:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from platformtrial import simharness
+from platformtrial import blas, simharness
 from platformtrial.analysis import ModelSpec
 from platformtrial.datagen import TrendSpec
 from platformtrial.design import ConfigError, TrialConfig
@@ -90,6 +90,36 @@ class TestRunScenario:
         assert oc.per_estimator["fixed_period"].failures == 0
         assert oc.per_estimator["fixed_period"].reps == 10
 
+    @pytest.mark.parametrize("threads, replicates, pools", [(4, 2, [2]), (3, 7, [3]), (2, 1, []), (1, 5, [])])
+    def test_at_most_one_worker_per_replicate(self, monkeypatch, threads, replicates, pools):
+        started, chunk_sizes = [], []
+
+        class RecordingPool:
+            """Runs the tasks in this process; records what a real pool would start."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, scenarios, chunks):
+                chunks = list(chunks)
+                chunk_sizes.extend(len(c) for c in chunks)
+                return map(fn, scenarios, chunks)
+
+        monkeypatch.setattr(simharness, "ProcessPoolExecutor", RecordingPool)
+        oc = run_scenario(small_scenario(replicates=replicates), threads=threads)
+        assert started == pools
+        assert all(chunk_sizes) and sum(chunk_sizes) == (replicates if pools else 0)
+        serial = run_scenario(small_scenario(replicates=replicates)).per_estimator
+        for label, st in oc.per_estimator.items():  # emp_se is nan at one replicate
+            assert (st.reps, st.reject_rate, st.mean_est) == (
+                serial[label].reps, serial[label].reject_rate, serial[label].mean_est)
+
     def test_replicate_output_shape(self):
         sc = small_scenario()
         rows = run_replicate(sc, 0)
@@ -172,3 +202,64 @@ class TestRunGrid:
     def test_grid_deterministic_across_threads(self):
         grid = TestGridSpec.grid(replicates=20)
         assert run_grid(grid, threads=1) == run_grid(grid, threads=2)
+
+
+class TestBlasThreads:
+    @pytest.fixture
+    def two_blas_threads(self):
+        """Every OpenBLAS at 2 threads for the test, then back to its own count."""
+        found = blas.controls()
+        if not found:
+            pytest.skip("no OpenBLAS whose thread count can be set")
+        saved = blas.thread_counts()
+        for _, put in found:
+            put(2)
+        yield (2,) * len(found)
+        for (_, put), count in zip(found, saved):
+            put(count)
+
+    @pytest.fixture
+    def checked_fit(self, monkeypatch):
+        """A fit that fails unless every OpenBLAS runs one thread; pooled always fails."""
+        real_fit = simharness.fit
+
+        def fit(analysis_set, m, spec):
+            if blas.thread_counts() != (1,) * len(blas.controls()):
+                raise RuntimeError(f"BLAS threads {blas.thread_counts()} inside a replicate")
+            if spec.estimator == "pooled":
+                raise RuntimeError("synthetic failure")
+            return real_fit(analysis_set, m, spec)
+
+        monkeypatch.setattr(simharness, "fit", fit)
+
+    def test_fits_run_single_threaded_and_counts_are_restored(self, two_blas_threads, checked_fit):
+        stats = {}
+        for threads in (1, 2):
+            stats[threads] = run_scenario(small_scenario(replicates=6), threads=threads).per_estimator
+            assert blas.thread_counts() == two_blas_threads
+            assert stats[threads]["fixed_period"].failures == 0
+            assert stats[threads]["pooled"].failures == 6
+        assert stats[1]["fixed_period"] == stats[2]["fixed_period"]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_counts_restored_when_a_replicate_raises(self, monkeypatch, two_blas_threads, threads):
+        def broken_generate_trial(*args, **kwargs):
+            raise RuntimeError("synthetic data failure")
+
+        monkeypatch.setattr(simharness, "generate_trial", broken_generate_trial)
+        with pytest.raises(RuntimeError, match="synthetic data failure"):
+            run_scenario(small_scenario(replicates=4), threads=threads)
+        assert blas.thread_counts() == two_blas_threads
+
+    def test_only_counts_other_than_one_are_set(self, monkeypatch):
+        calls = []
+        fake = (
+            (lambda: 1, lambda n: calls.append(("at_one", n))),
+            (lambda: 4, lambda n: calls.append(("at_four", n))),
+        )
+        monkeypatch.setattr(blas, "_controls", fake)
+        with pytest.raises(RuntimeError):
+            with blas.single_thread():
+                assert calls == [("at_four", 1)]
+                raise RuntimeError
+        assert calls == [("at_four", 1), ("at_four", 4)]
