@@ -1,6 +1,6 @@
 """Platform-trial simulation and time-adjusted analysis with shared controls."""
 
-from .analysis import ESTIMATORS, FitResult, ModelSpec, default_model_set, fit, pooled_ttest, separate_ttest
+from .analysis import ESTIMATORS, FitResult, ModelSpec, default_model_set, fit
 from .datagen import (
     TrendSpec,
     TrialDataset,
@@ -11,7 +11,6 @@ from .datagen import (
     write_csv,
 )
 from .design import (
-    CalendarPartition,
     ConfigError,
     TrialConfig,
     TrialTimeline,
@@ -20,14 +19,13 @@ from .design import (
     entry_times,
 )
 from .mixed_model import MixedFit, ar1_correlation, reml_fit
-from .regression_engine import OlsFit, RankDeficiencyError, build_design, ols_fit, t_sf, wald_test
+from .regression_engine import OlsFit, RankDeficiencyError, build_design, ols_fit, t_sf, t_test, wald_test
 from .simharness import GridSpec, OperatingCharacteristics, Scenario, run_grid, run_scenario
-from .spline import SplineBasis, basis_matrix, knots_from_calendar, knots_from_periods
+from .spline import SplineBasis, basis_matrix, knots_at
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CalendarPartition",
     "ConfigError",
     "ESTIMATORS",
     "FitResult",
@@ -52,17 +50,15 @@ __all__ = [
     "entry_times",
     "fit",
     "generate_trial",
-    "knots_from_calendar",
-    "knots_from_periods",
+    "knots_at",
     "ols_fit",
-    "pooled_ttest",
     "read_csv",
     "reml_fit",
     "run_grid",
     "run_scenario",
-    "separate_ttest",
     "slice_for_arm",
     "t_sf",
+    "t_test",
     "trend_value",
     "wald_test",
     "write_csv",

@@ -12,7 +12,7 @@ import numpy as np
 from . import mixed_model, spline
 from .datagen import TrialDataset
 from .design import ConfigError, derive_calendar, derive_periods
-from .regression_engine import WaldTest, build_design, ols_fit, t_sf, wald_test
+from .regression_engine import WaldTest, build_design, ols_fit, t_test, wald_test
 
 
 @dataclass(frozen=True)
@@ -151,103 +151,48 @@ def _prepare(dataset: TrialDataset, m: int) -> _Prepared:
     )
 
 
-def _two_sample_t(y_trt, y_ctl, m: int, estimator: str, alpha: float, sided: str, extra=None):
+def _two_sample_t(prep: _Prepared, m: int, spec: ModelSpec) -> tuple[WaldTest, dict]:
+    """Arm m versus every control (pooled) or its concurrent controls only (separate).
+
+    Concurrent controls are those randomized from arm m's entry on.
+    """
+    controls = prep.arm == 0
+    diag = {}
+    if spec.kind.family == "separate":
+        controls &= prep.t >= prep.m_entry
+        diag["n_controls_concurrent"] = int(controls.sum())
+    y_trt, y_ctl = prep.y[prep.arm == m], prep.y[controls]
     n1, n0 = y_trt.size, y_ctl.size
     if n0 == 0:
         raise ConfigError("no control records available for the t-test")
     if n1 + n0 < 3:
         raise ConfigError("too few observations for a two-sample t-test")
-    diff = float(y_trt.mean() - y_ctl.mean())
     ss1 = float(((y_trt - y_trt.mean()) ** 2).sum())
     ss0 = float(((y_ctl - y_ctl.mean()) ** 2).sum())
     df = n1 + n0 - 2
-    s2p = (ss1 + ss0) / df
-    se = math.sqrt(s2p * (1.0 / n1 + 1.0 / n0))
-    if se == 0.0:
-        raise ConfigError("degenerate t-test: zero pooled standard error")
-    t = diff / se
-    p_one = t_sf(t, df)
-    p_two = 2.0 * t_sf(abs(t), df)
-    diag = {"df": df, "n_treatment": n1, "n_controls": n0}
-    if extra:
-        diag.update(extra)
-    return FitResult(
-        estimator=estimator,
-        arm=m,
-        theta_hat=diff,
-        se=se,
-        t=t,
-        p_one=p_one,
-        p_two=p_two,
-        reject=(p_one if sided == "one_greater" else p_two) < alpha,
-        diagnostics=diag,
-    )
-
-
-def pooled_ttest(
-    dataset: TrialDataset, m: int, alpha: float = 0.025, sided: str = "one_greater"
-) -> FitResult:
-    """Arm m versus every control record in the analysis set."""
-    prep = _prepare(dataset, m)
-    return _two_sample_t(
-        prep.y[prep.arm == m], prep.y[prep.arm == 0], m, "pooled", alpha, sided
-    )
-
-
-def separate_ttest(
-    dataset: TrialDataset, m: int, alpha: float = 0.025, sided: str = "one_greater"
-) -> FitResult:
-    """Arm m versus its concurrent controls only (randomized from arm m's entry on)."""
-    prep = _prepare(dataset, m)
-    concurrent = (prep.arm == 0) & (prep.t >= prep.m_entry)
-    return _two_sample_t(
-        prep.y[prep.arm == m],
-        prep.y[concurrent],
-        m,
-        "separate",
-        alpha,
-        sided,
-        extra={"n_controls_concurrent": int(concurrent.sum())},
-    )
-
-
-def _from_wald(label, m, fit, wt: WaldTest, diag) -> FitResult:
-    i = fit.columns.index(f"trt{m}")
-    return FitResult(
-        estimator=label,
-        arm=m,
-        theta_hat=float(fit.beta[i]),
-        se=float(math.sqrt(fit.cov[i, i])),
-        t=wt.t,
-        p_one=wt.p_one,
-        p_two=wt.p_two,
-        reject=wt.reject,
-        diagnostics=diag,
-    )
+    se = math.sqrt((ss1 + ss0) / df * (1.0 / n1 + 1.0 / n0))
+    wt = t_test(float(y_trt.mean() - y_ctl.mean()), se, df, spec.sided, spec.alpha)
+    diag.update(df=df, n_treatment=n1, n_controls=n0)
+    return wt, diag
 
 
 def fit(dataset: TrialDataset, m: int, spec: ModelSpec) -> FitResult:
     """Fit one estimator to the analysis set of arm m."""
     kind = spec.kind
-    if kind.family == "pooled":
-        return pooled_ttest(dataset, m, alpha=spec.alpha, sided=spec.sided)
-    if kind.family == "separate":
-        return separate_ttest(dataset, m, alpha=spec.alpha, sided=spec.sided)
-
     prep = _prepare(dataset, m)
+    if kind.timescale is None:
+        wt, diag = _two_sample_t(prep, m, spec)
+        return FitResult(spec.label, m, *wt, diagnostics=diag)
+
     if kind.timescale == "period":
         tl = dataset.timeline
         starts = derive_periods(tl.entry, tl.exit, prep.horizon, origin=prep.origin)
     else:
-        calendar = derive_calendar(prep.horizon, spec.c_length, start=prep.origin)
-        starts = calendar.boundaries
+        starts = derive_calendar(prep.horizon, spec.c_length, start=prep.origin)
     diag = {"n_intervals": len(starts)}
 
     if kind.family == "spline":
-        if kind.timescale == "period":
-            basis = spline.knots_from_periods(starts, prep.horizon, degree=spec.spline_degree)
-        else:
-            basis = spline.knots_from_calendar(calendar, degree=spec.spline_degree)
+        basis = spline.knots_at(starts, prep.horizon, degree=spec.spline_degree)
         dm = build_design(
             prep.t, prep.arm, prep.y, prep.treatments, adjustment="spline", basis=basis
         )
@@ -285,7 +230,7 @@ def fit(dataset: TrialDataset, m: int, spec: ModelSpec) -> FitResult:
         estimate = ols_fit(dm)
     wt = wald_test(estimate, f"trt{m}", sided=spec.sided, alpha=spec.alpha)
     diag.update(df=estimate.df, n_obs=len(dm.y), n_columns=dm.X.shape[1])
-    return _from_wald(spec.label, m, estimate, wt, diag)
+    return FitResult(spec.label, m, *wt, diagnostics=diag)
 
 
 # ---------------------------------------------------------------------------

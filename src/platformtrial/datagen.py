@@ -304,6 +304,9 @@ def read_csv(path) -> TrialDataset:
                 raise ConfigError(f"line {lineno}: non-numeric field ({exc})") from None
             if not all(map(math.isfinite, values)):
                 raise ConfigError(f"line {lineno}: non-finite value")
+            for name, value in zip(("j", "arm"), values):
+                if not value.is_integer():
+                    raise ConfigError(f"line {lineno}: {name} must be an integer, got {value!r}")
             patient = int(values[0])
             if patient in line_of_j:
                 raise ConfigError(

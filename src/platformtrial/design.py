@@ -1,4 +1,7 @@
-"""Trial layout: arm entry/exit schedule and the two time partitions.
+"""Trial layout: arm entry/exit schedule and the time partitions.
+
+A time partition is a tuple of interval starts: periods open at arm entries
+and exits, calendar intervals every ``c_length`` time units.
 
 Time is measured in enrolled patients (one patient per time unit), so all
 times are 1-based indices into the recruitment stream. Real-valued times
@@ -72,19 +75,6 @@ class TrialTimeline:
             raise ConfigError("each exit time must come after the arm's entry")
 
 
-@dataclass(frozen=True)
-class CalendarPartition:
-    """Fixed-length calendar units covering [start of trial, horizon]."""
-
-    c_length: float
-    boundaries: tuple[float, ...]
-    horizon: float
-
-    @property
-    def n_intervals(self) -> int:
-        return len(self.boundaries)
-
-
 def entry_times(config: TrialConfig) -> tuple[int, ...]:
     """Eligibility time of each arm under uniform one-per-unit recruitment."""
     return tuple(config.d * (k - 1) + 1 for k in range(1, config.K + 1))
@@ -109,8 +99,8 @@ def derive_periods(
     return tuple(sorted(starts))
 
 
-def derive_calendar(horizon: float, c_length: float, start: float = 1.0) -> CalendarPartition:
-    """Equidistant calendar units of size ``c_length``, cut at the horizon.
+def derive_calendar(horizon: float, c_length: float, start: float = 1.0) -> tuple[float, ...]:
+    """Start times of equidistant calendar units of size ``c_length``, cut at the horizon.
 
     The final unit is whatever is left before the horizon, so it is usually
     shorter than ``c_length``.
@@ -119,15 +109,15 @@ def derive_calendar(horizon: float, c_length: float, start: float = 1.0) -> Cale
         raise ConfigError(f"c_length must be a finite number >= 1, got {c_length}")
     if horizon < start:
         raise ConfigError(f"horizon {horizon} lies before trial start {start}")
-    boundaries = []
+    starts = []
     i = 0
     while True:
         b = start + i * c_length  # multiply, not accumulate: no float drift
         if b > horizon:
             break
-        boundaries.append(b)
+        starts.append(b)
         i += 1
-    return CalendarPartition(c_length=c_length, boundaries=tuple(boundaries), horizon=horizon)
+    return tuple(starts)
 
 
 def interval_indices(times: np.ndarray, starts: Sequence[float], horizon: float) -> np.ndarray:

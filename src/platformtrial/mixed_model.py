@@ -20,6 +20,8 @@ from scipy.optimize import minimize
 from .design import ConfigError, interval_indices
 
 _PENALTY = 1e12
+_MAX_EVALS = 500  # objective evaluations per fit, scan included
+_FATOL = 1e-8
 _LOG_GAMMA_BOUND = 34.0
 _ATANH_RHO_BOUND = 18.0
 
@@ -56,7 +58,6 @@ def build_random_design(
     grouping: str,
     starts: Sequence[float],
     horizon: float,
-    prefix: str = "iv",
     treatments: Sequence[int] | None = None,
     exclude_arm: int | None = None,
 ) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -77,7 +78,7 @@ def build_random_design(
             col = (idx == s).astype(float)
             if col.any():
                 cols.append(col)
-                labels.append(f"{prefix}{s}")
+                labels.append(f"iv{s}")
     elif grouping == "interaction":
         if treatments is None:
             raise ConfigError("interaction grouping needs the treatment-arm set")
@@ -89,7 +90,7 @@ def build_random_design(
                 col = (in_arm & (idx == s)).astype(float)
                 if col.any():
                     cols.append(col)
-                    labels.append(f"trt{k}:{prefix}{s}")
+                    labels.append(f"trt{k}:iv{s}")
     else:
         raise ConfigError(f"unknown random grouping {grouping!r}")
     if not cols:
@@ -115,15 +116,18 @@ class _RemlWorkspace:
         if eig[0] <= 1e-10 * max(eig[-1], 1e-300):
             raise ConfigError("fixed-effect design is rank deficient")
 
-    def pieces(self, gamma: float, rho: float, structure: str):
-        """(XtWiX, XtWiy, ytWiy, logdet W) for W = I + gamma Z R Z'."""
+    def evaluate(self, gamma: float, rho: float, structure: str):
+        """(-2 log restricted likelihood, beta, X'W^-1 X, sigma2) for W = I + gamma Z R Z'.
+
+        beta and sigma2 are profiled out; -2 REML omits the (n-p)log(2pi)
+        constant and is _PENALTY where X'W^-1 X is not positive definite.
+        """
         if structure == "ar1":
             L = np.linalg.cholesky(ar1_correlation(self.m, rho))
             S = gamma * (L.T @ self.ZtZ @ L)
             ZtX_r = L.T @ self.ZtX
             Zty_r = L.T @ self.Zty
         else:
-            L = None
             S = gamma * self.ZtZ
             ZtX_r = self.ZtX
             Zty_r = self.Zty
@@ -136,22 +140,19 @@ class _RemlWorkspace:
         XtWiX = self.XtX - gamma * (ZtX_r.T @ sol_x)
         XtWiy = self.Xty - gamma * (ZtX_r.T @ sol_y)
         ytWiy = self.yty - gamma * float(Zty_r @ sol_y)
-        return XtWiX, XtWiy, ytWiy, logdet_w
+        sign, logdet_x = np.linalg.slogdet(XtWiX)
+        beta = np.linalg.solve(XtWiX, XtWiy)
+        df = self.n - self.p
+        sigma2 = max((ytWiy - float(beta @ XtWiy)) / df, 1e-300)
+        neg2 = df * math.log(sigma2) + logdet_w + logdet_x + df if sign > 0 else _PENALTY
+        return neg2, beta, XtWiX, sigma2
 
     def neg2ll(self, gamma: float, rho: float, structure: str) -> float:
-        """Profiled -2 restricted log-likelihood, up to the (n-p)log(2pi) constant."""
+        """The REML objective: -2 REML, or _PENALTY where it cannot be evaluated."""
         try:
-            XtWiX, XtWiy, ytWiy, logdet_w = self.pieces(gamma, rho, structure)
-            sign, logdet_x = np.linalg.slogdet(XtWiX)
-            if sign <= 0:
-                return _PENALTY
-            beta = np.linalg.solve(XtWiX, XtWiy)
+            return self.evaluate(gamma, rho, structure)[0]
         except np.linalg.LinAlgError:
             return _PENALTY
-        rss = ytWiy - float(beta @ XtWiy)
-        df = self.n - self.p
-        sigma2 = max(rss / df, 1e-300)
-        return df * math.log(sigma2) + logdet_w + logdet_x + df
 
 
 def reml_neg2loglik(
@@ -174,14 +175,13 @@ def reml_fit(
     y: np.ndarray,
     cov_structure: str = "independent",
     columns: Sequence[str] | None = None,
-    max_evals: int = 500,
-    tol: float = 1e-8,
 ) -> MixedFit:
     """Fit the mixed model by REML over the transformed variance parameters.
 
     Nelder-Mead on (log gamma) or (log gamma, atanh rho); a boundary
-    solution gamma -> 0 is legitimate and reported, not an error. A fit
-    exhausting the evaluation budget is returned with converged=False.
+    solution gamma -> 0 is legitimate and reported, not an error. A fit that
+    exhausts the evaluation budget before Nelder-Mead meets its tolerances
+    is returned with converged=False.
     """
     if cov_structure not in ("independent", "ar1"):
         raise ConfigError(f"unknown covariance structure {cov_structure!r}")
@@ -215,37 +215,27 @@ def reml_fit(
             n_scan += 1
             if f < best_f:
                 best_x, best_f = x, f
+    # the initial simplex holds the scan's best point and Nelder-Mead returns
+    # its best vertex, so the result never falls behind the scan
+    budget = max(_MAX_EVALS - n_scan, 10)
     res = minimize(
         objective,
         np.asarray(best_x, dtype=float),
         method="Nelder-Mead",
-        options={
-            "fatol": tol,
-            "xatol": 1e-7,
-            "maxfev": max(max_evals - n_scan, 10),
-            "maxiter": max(max_evals - n_scan, 10),
-        },
+        options={"fatol": _FATOL, "xatol": 1e-7, "maxfev": budget, "maxiter": budget},
     )
-    x_hat = res.x if res.fun <= best_f else np.asarray(best_x)
-    converged = bool(res.success) or res.fun <= best_f + tol
-    gamma, rho = unpack(np.atleast_1d(x_hat))
-
-    XtWiX, XtWiy, ytWiy, logdet_w = work.pieces(gamma, rho, cov_structure)
-    beta = np.linalg.solve(XtWiX, XtWiy)
+    gamma, rho = unpack(res.x)
+    neg2, beta, XtWiX, sigma2 = work.evaluate(gamma, rho, cov_structure)
     df = work.n - work.p
-    sigma2 = max((ytWiy - float(beta @ XtWiy)) / df, 1e-300)
-    cov = sigma2 * np.linalg.inv(XtWiX)
-    sign, logdet_x = np.linalg.slogdet(XtWiX)
-    neg2 = df * math.log(sigma2) + logdet_w + logdet_x + df
     return MixedFit(
         beta=beta,
-        cov=cov,
+        cov=sigma2 * np.linalg.inv(XtWiX),
         columns=tuple(columns) if columns is not None else tuple(f"x{i}" for i in range(work.p)),
         df=df,
         sigma2=sigma2,
         sigma2_random=gamma * sigma2,
         rho=rho if cov_structure == "ar1" else None,
         reml_loglik=-0.5 * (neg2 + df * math.log(2.0 * math.pi)),
-        converged=converged,
+        converged=bool(res.success),
         iterations=int(res.nfev) + n_scan,
     )

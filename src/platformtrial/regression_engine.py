@@ -1,4 +1,4 @@
-"""Least-squares core: design assembly, QR-based OLS, Wald t-tests.
+"""Least-squares core: design assembly, QR-based OLS, t-tests.
 
 scipy provides the pivoted QR factorization and the Student-t distribution.
 """
@@ -41,13 +41,10 @@ class OlsFit:
     df: int
     columns: tuple[str, ...]
 
-    def coefficient(self, label: str) -> tuple[float, float]:
-        """(estimate, standard error) of one coefficient."""
-        i = self.columns.index(label)
-        return float(self.beta[i]), float(math.sqrt(self.cov[i, i]))
-
 
 class WaldTest(NamedTuple):
+    estimate: float
+    se: float
     t: float
     p_one: float
     p_two: float
@@ -137,24 +134,33 @@ def ols_fit(dm: DesignMatrix) -> OlsFit:
     return OlsFit(beta=beta, cov=sigma2 * xtx_inv, sigma2_hat=sigma2, df=df, columns=dm.columns)
 
 
+def t_test(
+    estimate: float, se: float, df: float, sided: str = "one_greater", alpha: float = 0.025
+) -> WaldTest:
+    """t-test of an estimate against zero, with its standard error and degrees of freedom.
+
+    ``one_greater`` tests the one-sided null estimate <= 0; otherwise a
+    two-sided test.
+    """
+    if sided not in ("one_greater", "two"):
+        raise ConfigError(f"sided must be 'one_greater' or 'two', got {sided!r}")
+    if se == 0.0:
+        raise ConfigError("degenerate test: zero standard error")
+    t = estimate / se
+    p_one = t_sf(t, df)
+    p_two = 2.0 * t_sf(abs(t), df)
+    reject = (p_one if sided == "one_greater" else p_two) < alpha
+    return WaldTest(estimate=estimate, se=se, t=t, p_one=p_one, p_two=p_two, reject=reject)
+
+
 def wald_test(
     fit, coeff: str, sided: str = "one_greater", alpha: float = 0.025
 ) -> WaldTest:
     """t-test of a single coefficient against zero.
 
-    ``one_greater`` tests the one-sided null coeff <= 0; otherwise a
-    two-sided test. Works for any fit exposing beta/cov/df/columns.
+    Works for any fit exposing beta/cov/df/columns.
     """
-    if sided not in ("one_greater", "two"):
-        raise ConfigError(f"sided must be 'one_greater' or 'two', got {sided!r}")
     if coeff not in fit.columns:
         raise ConfigError(f"coefficient {coeff!r} not in fit columns")
     i = fit.columns.index(coeff)
-    se = math.sqrt(float(fit.cov[i, i]))
-    if se == 0.0:
-        raise ConfigError(f"degenerate fit: zero standard error for {coeff!r}")
-    t = float(fit.beta[i]) / se
-    p_one = t_sf(t, fit.df)
-    p_two = 2.0 * t_sf(abs(t), fit.df)
-    reject = (p_one if sided == "one_greater" else p_two) < alpha
-    return WaldTest(t=t, p_one=p_one, p_two=p_two, reject=reject)
+    return t_test(float(fit.beta[i]), math.sqrt(float(fit.cov[i, i])), fit.df, sided, alpha)

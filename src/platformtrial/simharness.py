@@ -261,28 +261,34 @@ class GridSpec:
 
 
 def run_grid(grid: GridSpec, threads: int = 1) -> list[dict]:
-    """Run every cell of the grid; one output row per (cell, estimator)."""
+    """Run every cell of the grid; one output row per (cell, estimator).
+
+    The BLAS thread counts are set once for the whole grid: restoring them
+    between cells would restart OpenBLAS threads that the next pool's fork
+    stops again.
+    """
     rows = []
-    for lam, c_length, scenario in grid._cells_with_axes():
-        oc = run_scenario(scenario, threads=threads)
-        for spec in scenario.estimators:
-            st = oc.per_estimator[spec.label]
-            rows.append({
-                "setting": grid.setting,
-                "pattern": scenario.trend.pattern,
-                "lambda": lam,
-                "d": scenario.config.d,
-                "c_length": c_length,
-                "estimator": st.estimator,
-                "hypothesis": scenario.hypothesis,
-                "reps": st.reps,
-                "reject_rate": st.reject_rate,
-                "mc_se": st.mc_se,
-                "mean_est": st.mean_est,
-                "emp_se": st.emp_se,
-                "bias": st.bias,
-                "failures": st.failures,
-            })
+    with blas.single_thread():
+        for lam, c_length, scenario in grid._cells_with_axes():
+            oc = run_scenario(scenario, threads=threads)
+            for spec in scenario.estimators:
+                st = oc.per_estimator[spec.label]
+                rows.append({
+                    "setting": grid.setting,
+                    "pattern": scenario.trend.pattern,
+                    "lambda": lam,
+                    "d": scenario.config.d,
+                    "c_length": c_length,
+                    "estimator": st.estimator,
+                    "hypothesis": scenario.hypothesis,
+                    "reps": st.reps,
+                    "reject_rate": st.reject_rate,
+                    "mc_se": st.mc_se,
+                    "mean_est": st.mean_est,
+                    "emp_se": st.emp_se,
+                    "bias": st.bias,
+                    "failures": st.failures,
+                })
     return rows
 
 

@@ -1,4 +1,4 @@
-"""B-spline basis over recruitment time, with knots at period or calendar starts."""
+"""B-spline basis over recruitment time, with knots at the interval starts of a time partition."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .design import CalendarPartition, ConfigError
+from .design import ConfigError
 
 DEGREES = (1, 2, 3)
 
@@ -46,25 +46,12 @@ class SplineBasis:
         return np.array([lo] * rep + list(self.inner_knots) + [hi] * rep, dtype=float)
 
 
-def _clean_inner(candidates: Sequence[float], lo: float, hi: float) -> tuple[float, ...]:
+def knots_at(starts: Sequence[float], horizon: float, degree: int = 3) -> SplineBasis:
+    """Basis with one polynomial piece per interval: inner knots at interval starts 2..S."""
+    lo = float(starts[0])
     # duplicates and knots on/outside the boundary would create singular columns
-    return tuple(sorted({float(k) for k in candidates if lo < k < hi}))
-
-
-def knots_from_periods(
-    period_starts: Sequence[float], horizon: float, degree: int = 3
-) -> SplineBasis:
-    """Basis with one polynomial piece per period: inner knots at period starts 2..S."""
-    lo = float(period_starts[0])
-    inner = _clean_inner(period_starts[1:], lo, horizon)
+    inner = tuple(sorted({float(k) for k in starts[1:] if lo < k < horizon}))
     return SplineBasis(degree=degree, inner_knots=inner, boundary=(lo, float(horizon)))
-
-
-def knots_from_calendar(partition: CalendarPartition, degree: int = 3) -> SplineBasis:
-    """Basis with equidistant inner knots at calendar-unit starts 2..C."""
-    lo = float(partition.boundaries[0])
-    inner = _clean_inner(partition.boundaries[1:], lo, partition.horizon)
-    return SplineBasis(degree=degree, inner_knots=inner, boundary=(lo, float(partition.horizon)))
 
 
 def basis_matrix(times: np.ndarray, basis: SplineBasis) -> np.ndarray:

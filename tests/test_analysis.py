@@ -9,10 +9,8 @@ from platformtrial.analysis import (
     ModelSpec,
     default_model_set,
     fit,
-    pooled_ttest,
     results_to_csv,
     results_to_json,
-    separate_ttest,
 )
 from platformtrial.datagen import TrendSpec, TrialDataset, empirical_timeline, generate_trial, slice_for_arm
 from platformtrial.design import ConfigError, TrialConfig
@@ -23,6 +21,14 @@ def make_config(**kw):
     base = dict(K=4, d=250, n=250, eta0=0.0, theta=(0.25,) * 4, sigma=1.0, M=3)
     base.update(kw)
     return TrialConfig(**base)
+
+
+def pooled(ds, m):
+    return fit(ds, m, ModelSpec("pooled"))
+
+
+def separate(ds, m):
+    return fit(ds, m, ModelSpec("separate"))
 
 
 def manual_dataset(arm, y):
@@ -78,8 +84,8 @@ class TestTwoSampleBaselines:
         y = rng.normal(0.0, 1.0, 60) + 0.3 * (arm == 1)
         ds = manual_dataset(arm, y)
         fp = fit(ds, 1, ModelSpec("fixed_period"))
-        po = pooled_ttest(ds, 1)
-        se_ = separate_ttest(ds, 1)
+        po = pooled(ds, 1)
+        se_ = separate(ds, 1)
         for a, b in [(fp, po), (po, se_)]:
             assert a.theta_hat == pytest.approx(b.theta_hat, abs=1e-10)
             assert a.se == pytest.approx(b.se, abs=1e-10)
@@ -88,21 +94,21 @@ class TestTwoSampleBaselines:
     def test_identical_groups_t_zero(self):
         arm = np.array([0, 1] * 10)
         y = np.tile([1.0, 1.0, 2.0, 2.0], 5)
-        r = pooled_ttest(manual_dataset(arm, y), 1)
+        r = pooled(manual_dataset(arm, y), 1)
         assert r.t == 0.0
         assert r.p_one == 0.5
 
     def test_empty_controls_error(self):
         arm = np.array([1, 1, 1, 1])
         with pytest.raises(ConfigError):
-            pooled_ttest(manual_dataset(arm, np.zeros(4)), 1)
+            pooled(manual_dataset(arm, np.zeros(4)), 1)
 
     def test_ncc_exclusion_identity_for_first_arm(self):
         # for the first-entering arm every control is concurrent
         ds = generate_trial(make_config(M=1), TrendSpec.none(4), "null", seed=3)
         sl = slice_for_arm(ds, 1)
-        po = pooled_ttest(sl, 1)
-        se_ = separate_ttest(sl, 1)
+        po = pooled(sl, 1)
+        se_ = separate(sl, 1)
         assert po.theta_hat == pytest.approx(se_.theta_hat, abs=1e-12)
         assert po.p_one == pytest.approx(se_.p_one, abs=1e-12)
 
@@ -110,7 +116,7 @@ class TestTwoSampleBaselines:
         cfg = make_config()
         ds = generate_trial(cfg, TrendSpec.none(4), "null", seed=4)
         sl = slice_for_arm(ds, 3)
-        r = separate_ttest(sl, 3)
+        r = separate(sl, 3)
         entry = ds.timeline.entry[2]
         exit_ = ds.timeline.exit[2]
         expected = int(((sl.arm == 0) & (sl.t >= entry) & (sl.t <= exit_)).sum())

@@ -35,6 +35,15 @@ def make_dataset_csv(tmp_path, seed=0, K=2, d=60, n=60, M=2):
     return path, ds
 
 
+def set_field(path, lineno, column, value):
+    """Replace one field on the given 1-based line of a dataset CSV."""
+    lines = path.read_text().splitlines()
+    fields = lines[lineno - 1].split(",")
+    fields[("j", "arm", "time", "response").index(column)] = value
+    lines[lineno - 1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
 class TestValidate:
     def test_bundled_configs_validate(self, capsys):
         for cfg in sorted(CONFIGS.glob("*.json")):
@@ -245,14 +254,18 @@ class TestAnalyze:
     @pytest.mark.parametrize("column, value", [("response", "nan"), ("time", "inf")])
     def test_non_finite_value_exits_two(self, tmp_path, capsys, column, value):
         data, _ = make_dataset_csv(tmp_path, seed=5)
-        lines = data.read_text().splitlines()
-        fields = lines[9].split(",")
-        fields[("j", "arm", "time", "response").index(column)] = value
-        lines[9] = ",".join(fields)
-        data.write_text("\n".join(lines) + "\n")
+        set_field(data, 10, column, value)
         assert main(["analyze", "--data", str(data), "--arm", "1",
                      "--models", "fixed_period,pooled"]) == 2
         assert "line 10: non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column, value", [("j", "5.7"), ("arm", "1.5")])
+    def test_non_integer_id_exits_two(self, tmp_path, capsys, column, value):
+        data, _ = make_dataset_csv(tmp_path, seed=5)
+        set_field(data, 10, column, value)
+        assert main(["analyze", "--data", str(data), "--arm", "2",
+                     "--models", "fixed_period,pooled"]) == 2
+        assert f"line 10: {column} must be an integer" in capsys.readouterr().err
 
     def test_duplicate_patient_exits_two(self, tmp_path, capsys):
         data, _ = make_dataset_csv(tmp_path, seed=5)

@@ -229,6 +229,13 @@ class TestCsvRoundTrip:
         with pytest.raises(ConfigError, match="line 4: non-finite"):
             read_csv(path)
 
+    @pytest.mark.parametrize("row, name", [("4,1.5,4.0,0.5", "arm"), ("5.7,1,5.0,0.5", "j")])
+    def test_non_integer_id(self, tmp_path, row, name):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"j,arm,time,response\n1,0,1,0.2\n2,1,2,0.1\n{row}\n")
+        with pytest.raises(ConfigError, match=f"line 4: {name} must be an integer"):
+            read_csv(path)
+
     def test_duplicate_j(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("j,arm,time,response\n1,0,1,0.2\n2,1,2,0.1\n1,0,1,0.2\n")

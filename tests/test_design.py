@@ -83,22 +83,21 @@ class TestDerivePeriods:
 
 class TestDeriveCalendar:
     def test_paper_sized_trial(self):
-        part = derive_calendar(horizon=1528, c_length=100)
+        starts = derive_calendar(horizon=1528, c_length=100)
         # oracle: enumerate each patient time and count distinct units
-        seen = set(interval_indices(np.arange(1, 1529), part.boundaries, part.horizon).tolist())
-        assert part.n_intervals == 16
+        seen = set(interval_indices(np.arange(1, 1529), starts, 1528).tolist())
+        assert len(starts) == 16
         assert seen == set(range(1, 17))
-        last_width = 1528 - part.boundaries[-1] + 1
+        last_width = 1528 - starts[-1] + 1
         assert last_width == 28
 
     def test_single_interval(self):
-        part = derive_calendar(horizon=450, c_length=450)
-        assert part.boundaries == (1,)
+        assert derive_calendar(horizon=450, c_length=450) == (1,)
 
     def test_one_extra_patient_opens_new_interval(self):
-        part = derive_calendar(horizon=451, c_length=450)
-        assert part.boundaries == (1, 451)
-        widths = [part.boundaries[1] - part.boundaries[0], 451 - part.boundaries[1] + 1]
+        starts = derive_calendar(horizon=451, c_length=450)
+        assert starts == (1, 451)
+        widths = [starts[1] - starts[0], 451 - starts[1] + 1]
         assert widths == [450, 1]
 
     def test_c_length_below_one_rejected(self):
@@ -145,17 +144,17 @@ class TestIntervalIndex:
     c_length=st.integers(min_value=1, max_value=5000),
 )
 def test_calendar_partition_property(horizon, c_length):
-    part = derive_calendar(horizon, c_length)
-    bounds = list(part.boundaries) + [horizon + 1]
+    starts = derive_calendar(horizon, c_length)
+    bounds = list(starts) + [horizon + 1]
     widths = [b - a for a, b in zip(bounds, bounds[1:])]
     assert sum(widths) == horizon
     assert all(w == c_length for w in widths[:-1])
     assert 1 <= widths[-1] <= c_length
     if c_length >= horizon:
-        assert part.n_intervals == 1
+        assert len(starts) == 1
     # total and unique on [1, horizon]
-    idx = interval_indices(np.arange(1, horizon + 1), part.boundaries, horizon)
-    assert idx.min() == 1 and idx.max() == part.n_intervals
+    idx = interval_indices(np.arange(1, horizon + 1), starts, horizon)
+    assert idx.min() == 1 and idx.max() == len(starts)
     assert np.all(np.diff(idx) >= 0)
 
 

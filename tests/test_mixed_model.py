@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from platformtrial import mixed_model
 from platformtrial.design import ConfigError
 from platformtrial.mixed_model import (
     DegenerateRandomDesign,
@@ -64,25 +65,25 @@ class TestBuildRandomDesign:
 
     def test_interval_grouping_skips_first(self):
         arms = np.zeros(12, dtype=int)
-        Z, labels = build_random_design(self.TIMES, arms, "interval", self.STARTS, 12, prefix="per")
-        assert labels == ("per2", "per3")
+        Z, labels = build_random_design(self.TIMES, arms, "interval", self.STARTS, 12)
+        assert labels == ("iv2", "iv3")
         assert Z.shape == (12, 2)
         assert Z[:, 0].sum() == 4 and Z[:, 1].sum() == 4
 
     def test_interaction_grouping_excludes_arm_m(self):
         arms = np.array([0, 1, 2, 3, 1, 2, 3, 0, 1, 2, 3, 0])
         Z, labels = build_random_design(
-            self.TIMES, arms, "interaction", self.STARTS, 12, prefix="per",
+            self.TIMES, arms, "interaction", self.STARTS, 12,
             treatments=[1, 2, 3], exclude_arm=3,
         )
         # arms {1, 2} x intervals {2, 3}, every combination nonzero here
-        assert labels == ("trt1:per2", "trt1:per3", "trt2:per2", "trt2:per3")
+        assert labels == ("trt1:iv2", "trt1:iv3", "trt2:iv2", "trt2:iv3")
         assert Z.shape == (12, 4)
 
     def test_zero_columns_removed(self):
         arms = np.array([0, 1, 2, 0, 1, 0, 1, 0, 1, 0, 1, 0])  # arm 2 only in interval 1
         Z, labels = build_random_design(
-            self.TIMES, arms, "interaction", self.STARTS, 12, prefix="per",
+            self.TIMES, arms, "interaction", self.STARTS, 12,
             treatments=[1, 2], exclude_arm=None,
         )
         assert all("trt2" not in lab for lab in labels)
@@ -173,6 +174,14 @@ class TestRemlFit:
             options={"fatol": 1e-8, "xatol": 1e-7, "maxfev": 500},
         )
         assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
+
+    def test_exhausted_budget_reported_as_not_converged(self, monkeypatch):
+        X, Z, y = small_ar1_instance(n=60, m=3)
+        assert reml_fit(X, Z, y, cov_structure="ar1").converged
+        monkeypatch.setattr(mixed_model, "_MAX_EVALS", 1)  # Nelder-Mead keeps its floor of 10
+        fit = reml_fit(X, Z, y, cov_structure="ar1")
+        assert not fit.converged
+        assert fit.iterations < 40  # 21 scan points plus the small budget
 
     def test_rank_deficient_fixed_design_rejected(self):
         X = np.ones((30, 2))

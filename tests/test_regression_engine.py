@@ -10,6 +10,7 @@ from platformtrial.regression_engine import (
     build_design,
     ols_fit,
     t_sf,
+    t_test,
     wald_test,
 )
 
@@ -50,7 +51,8 @@ class TestOlsFit:
         y0, y1 = rng.normal(0, 1, 30), rng.normal(0.5, 1, 20)
         X = np.column_stack([np.ones(50), np.r_[np.zeros(30), np.ones(20)]])
         fit = ols_fit(DesignMatrix(X=X, y=np.r_[y0, y1], columns=("intercept", "trt1")))
-        est, se = fit.coefficient("trt1")
+        wt = wald_test(fit, "trt1")
+        est, se = wt.estimate, wt.se
         assert est == pytest.approx(y1.mean() - y0.mean(), abs=1e-12)
         sp2 = (((y0 - y0.mean()) ** 2).sum() + ((y1 - y1.mean()) ** 2).sum()) / 48
         assert se == pytest.approx(math.sqrt(sp2 * (1 / 30 + 1 / 20)), abs=1e-12)
@@ -161,6 +163,18 @@ class TestWaldTest:
     def test_missing_coefficient(self):
         with pytest.raises(ConfigError):
             wald_test(self._fit(), "nope")
+
+    def test_carries_estimate_and_se_of_the_coefficient(self):
+        fit = self._fit(beta1=0.4)
+        i = fit.columns.index("slope")
+        wt = wald_test(fit, "slope", sided="two", alpha=0.01)
+        assert wt.estimate == fit.beta[i]
+        assert wt.se == math.sqrt(fit.cov[i, i])
+        assert wt == t_test(wt.estimate, wt.se, fit.df, sided="two", alpha=0.01)
+
+    def test_unknown_sidedness_rejected(self):
+        with pytest.raises(ConfigError, match="sided"):
+            t_test(1.0, 0.5, 10, sided="one_less")
 
     def test_zero_se_degenerate(self):
         fit = self._fit()

@@ -263,3 +263,20 @@ class TestBlasThreads:
                 assert calls == [("at_four", 1)]
                 raise RuntimeError
         assert calls == [("at_four", 1), ("at_four", 4)]
+
+    def test_grid_sets_threads_once(self, monkeypatch):
+        # stateful fakes: two libraries at 4 threads each
+        counts = {"numpy": 4, "scipy": 4}
+        calls = []
+
+        def control(lib):
+            def put(n):
+                calls.append((lib, n))
+                counts[lib] = n
+            return (lambda: counts[lib], put)
+
+        monkeypatch.setattr(blas, "_controls", (control("numpy"), control("scipy")))
+        grid = TestGridSpec.grid(lambdas=(0.0, 0.5, 1.0), replicates=2)
+        rows = run_grid(grid, threads=2)
+        assert len(rows) == 3
+        assert calls == [("numpy", 1), ("scipy", 1), ("numpy", 4), ("scipy", 4)]

@@ -5,30 +5,30 @@ from hypothesis import strategies as st
 
 from platformtrial.design import ConfigError, derive_calendar
 from platformtrial.regression_engine import DesignMatrix, build_design, ols_fit
-from platformtrial.spline import SplineBasis, basis_matrix, knots_from_calendar, knots_from_periods
+from platformtrial.spline import SplineBasis, basis_matrix, knots_at
 
 from oracles import naive_basis_row
 
 
 class TestKnotPlacement:
     def test_period_knots(self):
-        basis = knots_from_periods((1, 251, 501), horizon=750)
+        basis = knots_at((1, 251, 501), horizon=750)
         assert basis.inner_knots == (251, 501)
         assert basis.boundary == (1.0, 750.0)
 
     def test_single_period_no_inner_knots(self):
-        assert knots_from_periods((1,), horizon=400).inner_knots == ()
+        assert knots_at((1,), horizon=400).inner_knots == ()
 
     def test_knot_at_horizon_dropped(self):
-        assert knots_from_periods((1, 500), horizon=500).inner_knots == ()
+        assert knots_at((1, 500), horizon=500).inner_knots == ()
 
     def test_calendar_knots(self):
-        assert knots_from_calendar(derive_calendar(900, 450)).inner_knots == (451,)
-        assert knots_from_calendar(derive_calendar(400, 450)).inner_knots == ()
-        assert knots_from_calendar(derive_calendar(1528, 450)).inner_knots == (451, 901, 1351)
+        assert knots_at(derive_calendar(900, 450), 900).inner_knots == (451,)
+        assert knots_at(derive_calendar(400, 450), 400).inner_knots == ()
+        assert knots_at(derive_calendar(1528, 450), 1528).inner_knots == (451, 901, 1351)
 
     def test_duplicate_knots_dropped(self):
-        basis = knots_from_periods((1, 251, 251.0, 501), horizon=750)
+        basis = knots_at((1, 251, 251.0, 501), horizon=750)
         assert basis.inner_knots == (251, 501)
 
     def test_dim(self):
