@@ -210,7 +210,7 @@ def fit(dataset: TrialDataset, m: int, spec: ModelSpec) -> FitResult:
     estimate = None
     if kind.family in ("mixed", "mixedint"):
         try:
-            Z, _ = mixed_model.build_random_design(
+            groups, labels = mixed_model.build_random_design(
                 prep.t, prep.arm,
                 grouping="interaction" if kind.family == "mixedint" else "interval",
                 starts=starts, horizon=prep.horizon,
@@ -220,9 +220,9 @@ def fit(dataset: TrialDataset, m: int, spec: ModelSpec) -> FitResult:
             diag.update(fallback="ols_single_interval", converged=True)
         else:
             estimate = mixed_model.reml_fit(
-                dm.X, Z, dm.y, cov_structure=kind.covariance, columns=dm.columns
+                dm.X, groups, dm.y, cov_structure=kind.covariance, columns=dm.columns
             )
-            diag.update(n_random_columns=Z.shape[1], sigma2_random=estimate.sigma2_random,
+            diag.update(n_random_columns=len(labels), sigma2_random=estimate.sigma2_random,
                         converged=estimate.converged, iterations=estimate.iterations)
             if estimate.rho is not None:
                 diag["rho"] = estimate.rho

@@ -60,7 +60,9 @@ class TrialTimeline:
 
     ``entry[k-1]`` is the first time arm k is eligible for randomization,
     ``exit[k-1]`` the time its last patient was enrolled. The periods at a
-    given horizon follow from them through :func:`derive_periods`.
+    given horizon follow from them through :func:`derive_periods`. Entries
+    need not rise with k: arms of an imported trial enter at their first
+    records, in whatever order those came.
     """
 
     entry: tuple[float, ...]
@@ -68,8 +70,6 @@ class TrialTimeline:
     n_total: int
 
     def __post_init__(self):
-        if any(b < a for a, b in zip(self.entry, self.entry[1:])):
-            raise ConfigError("entry times must be nondecreasing in arm index")
         # equality only occurs for single-record arms in imported data
         if any(x < e for e, x in zip(self.entry, self.exit)):
             raise ConfigError("each exit time must come after the arm's entry")

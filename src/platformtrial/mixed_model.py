@@ -1,12 +1,11 @@
 """Linear mixed models estimated by REML.
 
-Covers random time-interval intercepts (uncorrelated or AR(1)) and random
-treatment-by-interval interactions. The restricted likelihood is profiled
-down to the variance ratio gamma = sigma2_random / sigma2 (log scale) and,
-for AR(1), the correlation rho (atanh scale); the residual variance and
-fixed effects then follow in closed form. V^{-1} is applied through the
-Woodbury identity, so each objective evaluation costs O(N m^2) with m the
-number of random-effect columns.
+Random time-interval intercepts (uncorrelated or AR(1)) and random
+treatment-by-interval interactions put each record in at most one group,
+so the random design is a group code per record and a fit needs only group
+statistics. The restricted likelihood is profiled down to gamma =
+sigma2_random / sigma2 (log scale) and, for AR(1), rho (atanh scale). An
+evaluation is elementwise in the groups, after one m x m eigh for AR(1).
 """
 from __future__ import annotations
 
@@ -61,91 +60,90 @@ def build_random_design(
     treatments: Sequence[int] | None = None,
     exclude_arm: int | None = None,
 ) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Random-effect design matrix Z.
+    """Random-effect group of each record: 0 for none, g in 1..m for column g of Z.
 
-    ``interval`` grouping yields one indicator column per time interval
-    2..end. ``interaction`` grouping yields one column per (treatment arm,
-    interval >= 2) pair, with the evaluated arm excluded; columns that are
-    identically zero (arm not present in the interval) are removed.
+    ``interval`` grouping has one group per time interval 2..end, and
+    ``interaction`` one per (treatment arm other than exclude_arm, interval
+    >= 2). Empty groups are dropped and the rest numbered in label order.
     """
-    times = np.asarray(times, dtype=float)
-    arms = np.asarray(arms)
     idx = interval_indices(times, starts, horizon)
-    cols: list[np.ndarray] = []
-    labels: list[str] = []
     if grouping == "interval":
-        for s in range(2, len(starts) + 1):
-            col = (idx == s).astype(float)
-            if col.any():
-                cols.append(col)
-                labels.append(f"iv{s}")
+        owners = {"": np.ones(idx.shape, dtype=bool)}
     elif grouping == "interaction":
         if treatments is None:
             raise ConfigError("interaction grouping needs the treatment-arm set")
-        for k in sorted(treatments):
-            if k == exclude_arm:
-                continue
-            in_arm = arms == k
-            for s in range(2, len(starts) + 1):
-                col = (in_arm & (idx == s)).astype(float)
-                if col.any():
-                    cols.append(col)
-                    labels.append(f"trt{k}:iv{s}")
+        owners = {f"trt{k}:": np.asarray(arms) == k for k in sorted(treatments) if k != exclude_arm}
     else:
         raise ConfigError(f"unknown random grouping {grouping!r}")
-    if not cols:
+    later = range(2, len(starts) + 1)
+    cell = np.zeros(idx.shape, dtype=np.intp)  # 1 + position in names, 0 for none
+    for i, rows in enumerate(owners.values()):
+        rows = rows & (idx >= 2)
+        cell[rows] = i * len(later) + idx[rows] - 1
+    names = [f"{owner}iv{s}" for owner in owners for s in later]
+    present = np.bincount(cell, minlength=len(names) + 1)[1:] > 0
+    if not present.any():
         raise DegenerateRandomDesign(
             "no random-effect columns (single time interval); fit the fixed model instead"
         )
-    return np.column_stack(cols), tuple(labels)
+    code = np.concatenate(([0], np.cumsum(present)))
+    return code[cell], tuple(name for name, kept in zip(names, present) if kept)
 
 
 class _RemlWorkspace:
-    """Cross-products shared by all objective evaluations of one fit."""
+    """Group statistics shared by all objective evaluations of one fit.
 
-    def __init__(self, X: np.ndarray, Z: np.ndarray, y: np.ndarray):
+    Z has disjoint indicator columns, so Z'Z = D = diag(d). With A = [X y],
+    A'W^-1 A = within + T'(I + gamma H)^-1 T and log det W = log det(I +
+    gamma H), where ``within`` holds the within-group cross-products of A,
+    T = D^-1/2 Z'A its scaled group sums, and H = D^1/2 R D^1/2.
+    """
+
+    def __init__(self, X: np.ndarray, groups: np.ndarray, y: np.ndarray):
         self.n, self.p = X.shape
-        self.m = Z.shape[1]
-        self.XtX = X.T @ X
-        self.Xty = X.T @ y
-        self.yty = float(y @ y)
-        self.ZtZ = Z.T @ Z
-        self.ZtX = Z.T @ X
-        self.Zty = Z.T @ y
-        eig = np.linalg.eigvalsh(self.XtX)
+        XtX = X.T @ X
+        eig = np.linalg.eigvalsh(XtX)
         if eig[0] <= 1e-10 * max(eig[-1], 1e-300):
             raise ConfigError("fixed-effect design is rank deficient")
+        # fit y - X b0 for the OLS b0: beta shifts by b0 and the objective is
+        # unchanged, but y'W^-1 y - beta'X'W^-1 y no longer cancels
+        self.b0 = np.linalg.solve(XtX, X.T @ y)
+        A = np.column_stack([X, y - X @ self.b0])
+        counts = np.bincount(groups).astype(float)
+        sums = np.column_stack([np.bincount(groups, column) for column in A.T])
+        means = sums / np.maximum(counts, 1.0)[:, None]
+        means[0] = 0.0  # records without a random effect are not centred
+        centred = A - means[groups]
+        self.within = centred.T @ centred
+        kept = np.flatnonzero(counts[1:])  # empty groups carry no data but count in AR(1) lags
+        self.lags = np.abs(kept[:, None] - kept[None, :])
+        self.d = counts[1:][kept]
+        self.sqrt_dd = np.sqrt(np.outer(self.d, self.d))
+        self.T = means[1:][kept] * np.sqrt(self.d)[:, None]
 
     def evaluate(self, gamma: float, rho: float, structure: str):
         """(-2 log restricted likelihood, beta, X'W^-1 X, sigma2) for W = I + gamma Z R Z'.
 
-        beta and sigma2 are profiled out; -2 REML omits the (n-p)log(2pi)
-        constant and is _PENALTY where X'W^-1 X is not positive definite.
+        Elementwise in gamma in the eigenbasis of H (lam = d when independent).
+        -2 REML omits (n-p)log(2pi) and is _PENALTY where X'W^-1 X is not PD.
         """
         if structure == "ar1":
-            L = np.linalg.cholesky(ar1_correlation(self.m, rho))
-            S = gamma * (L.T @ self.ZtZ @ L)
-            ZtX_r = L.T @ self.ZtX
-            Zty_r = L.T @ self.Zty
+            lam, Q = np.linalg.eigh(rho**self.lags * self.sqrt_dd)
+            T = Q.T @ self.T
         else:
-            S = gamma * self.ZtZ
-            ZtX_r = self.ZtX
-            Zty_r = self.Zty
-        G = np.eye(self.m) + S
-        cG = np.linalg.cholesky(G)
-        logdet_w = 2.0 * float(np.log(np.diag(cG)).sum())
-        # W^{-1} correction: A' W^{-1} B = A'B - gamma (Z'A)' L G^{-1} L' (Z'B)
-        sol_x = np.linalg.solve(G, ZtX_r)
-        sol_y = np.linalg.solve(G, Zty_r)
-        XtWiX = self.XtX - gamma * (ZtX_r.T @ sol_x)
-        XtWiy = self.Xty - gamma * (ZtX_r.T @ sol_y)
-        ytWiy = self.yty - gamma * float(Zty_r @ sol_y)
+            lam, T = self.d, self.T
+        w = 1.0 + gamma * lam
+        if w.min() <= 0.0:  # rounding in eigh at |rho| -> 1
+            raise np.linalg.LinAlgError("I + gamma H is not positive definite")
+        AtWiA = self.within + (T.T / w) @ T
+        XtWiX, XtWiy, ytWiy = AtWiA[:-1, :-1], AtWiA[:-1, -1], AtWiA[-1, -1]
+        logdet_w = float(np.log(w).sum())
         sign, logdet_x = np.linalg.slogdet(XtWiX)
         beta = np.linalg.solve(XtWiX, XtWiy)
         df = self.n - self.p
         sigma2 = max((ytWiy - float(beta @ XtWiy)) / df, 1e-300)
         neg2 = df * math.log(sigma2) + logdet_w + logdet_x + df if sign > 0 else _PENALTY
-        return neg2, beta, XtWiX, sigma2
+        return neg2, self.b0 + beta, XtWiX, sigma2
 
     def neg2ll(self, gamma: float, rho: float, structure: str) -> float:
         """The REML objective: -2 REML, or _PENALTY where it cannot be evaluated."""
@@ -155,66 +153,53 @@ class _RemlWorkspace:
             return _PENALTY
 
 
-def reml_neg2loglik(
-    X: np.ndarray,
-    Z: np.ndarray,
-    y: np.ndarray,
-    gamma: float,
-    rho: float = 0.0,
-    cov_structure: str = "independent",
-) -> float:
-    """Profiled REML objective at a given (gamma, rho); used for diagnostics."""
-    return _RemlWorkspace(np.asarray(X, float), np.asarray(Z, float), np.asarray(y, float)).neg2ll(
-        gamma, rho, cov_structure
-    )
-
-
 def reml_fit(
     X: np.ndarray,
-    Z: np.ndarray,
+    groups: np.ndarray,
     y: np.ndarray,
     cov_structure: str = "independent",
     columns: Sequence[str] | None = None,
 ) -> MixedFit:
     """Fit the mixed model by REML over the transformed variance parameters.
 
-    Nelder-Mead on (log gamma) or (log gamma, atanh rho); a boundary
-    solution gamma -> 0 is legitimate and reported, not an error. A fit that
-    exhausts the evaluation budget before Nelder-Mead meets its tolerances
-    is returned with converged=False.
+    ``groups`` holds each record's random-effect group, 0 for none and 1..m
+    otherwise, as :func:`build_random_design` returns it. Nelder-Mead on
+    (log gamma) or (log gamma, atanh rho); a boundary solution gamma -> 0 is
+    legitimate and reported, not an error. A fit that exhausts the
+    evaluation budget before Nelder-Mead meets its tolerances is returned
+    with converged=False.
     """
     if cov_structure not in ("independent", "ar1"):
         raise ConfigError(f"unknown covariance structure {cov_structure!r}")
     X = np.asarray(X, dtype=float)
-    Z = np.asarray(Z, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.shape[0] <= X.shape[1]:
         raise ConfigError("need more observations than fixed-effect columns")
-    work = _RemlWorkspace(X, Z, y)
+    groups = np.asarray(groups)
+    if groups.shape != (X.shape[0],) or not np.issubdtype(groups.dtype, np.integer):
+        raise ConfigError(f"groups must be a 1-D integer array of length {X.shape[0]}, "
+                          f"got {groups.dtype} of shape {groups.shape}")
+    if groups.min() < 0:
+        raise ConfigError(f"groups must be non-negative, got {groups.min()}")
+    if groups.max() < 1:
+        raise DegenerateRandomDesign("groups must name at least one group: every code is 0")
+    work = _RemlWorkspace(X, groups.astype(np.intp), y)  # bincount refuses uint64
 
     def unpack(x):
         gamma = math.exp(float(np.clip(x[0], -_LOG_GAMMA_BOUND, _LOG_GAMMA_BOUND)))
-        rho = 0.0
-        if cov_structure == "ar1":
-            rho = math.tanh(float(np.clip(x[1], -_ATANH_RHO_BOUND, _ATANH_RHO_BOUND)))
-        return gamma, rho
+        if cov_structure == "independent":
+            return gamma, 0.0
+        return gamma, math.tanh(float(np.clip(x[1], -_ATANH_RHO_BOUND, _ATANH_RHO_BOUND)))
 
     def objective(x):
         gamma, rho = unpack(x)
         return work.neg2ll(gamma, rho, cov_structure)
 
     # coarse scan picks the Nelder-Mead start; the surface can be flat in gamma
-    scan_logg = (-10.0, -6.0, -3.0, -1.0, 0.0, 1.0, 3.0)
-    scan_rho = (-0.5, 0.0, 0.5) if cov_structure == "ar1" else (0.0,)
-    best_x, best_f = None, math.inf
-    n_scan = 0
-    for lg in scan_logg:
-        for r in scan_rho:
-            x = [lg] if cov_structure == "independent" else [lg, math.atanh(r)]
-            f = objective(x)
-            n_scan += 1
-            if f < best_f:
-                best_x, best_f = x, f
+    scan = [[lg] for lg in (-10.0, -6.0, -3.0, -1.0, 0.0, 1.0, 3.0)]
+    if cov_structure == "ar1":
+        scan = [[lg, math.atanh(r)] for [lg] in scan for r in (-0.5, 0.0, 0.5)]
+    best_x, n_scan = scan[int(np.argmin([objective(x) for x in scan]))], len(scan)
     # the initial simplex holds the scan's best point and Nelder-Mead returns
     # its best vertex, so the result never falls behind the scan
     budget = max(_MAX_EVALS - n_scan, 10)

@@ -3,9 +3,9 @@
 Each oracle deliberately takes a different algorithmic route than the
 package code it checks: naive recursion instead of the iterated basis
 build, numerical quadrature instead of the incomplete-beta evaluation,
-explicit normal equations instead of QR, dense matrix algebra instead of
-the Woodbury path, a patient-by-patient randomization loop instead of
-drawing the blocks between two events at once.
+explicit normal equations instead of QR, a dense whitened QR fit instead
+of the group counts and sums, a patient-by-patient randomization loop
+instead of drawing the blocks between two events at once.
 """
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import solve_triangular
 
 from platformtrial.design import entry_times
 
@@ -61,22 +62,31 @@ def normal_equations_ols(X: np.ndarray, y: np.ndarray):
     return beta, sigma2 * np.linalg.inv(xtx), sigma2, df
 
 
-def dense_reml_neg2ll(X, Z, y, gamma, rho=0.0) -> float:
-    """Profiled REML objective via dense V, no Woodbury shortcuts."""
+def dense_reml_neg2ll(X, groups, y, gamma, rho=0.0) -> float:
+    """Profiled REML objective from the dense n x n V = I + gamma Z R Z'.
+
+    Column g-1 of Z indicates the records with group code g (0 = none).
+    The model is whitened by the Cholesky factor of V and then fitted by QR,
+    so no cross-product is formed. y is first replaced by its least-squares
+    residual on X, which leaves the profiled objective unchanged and keeps
+    a large mean from swamping the whitened residual.
+    """
     n, p = X.shape
-    m = Z.shape[1]
+    m = int(np.max(groups))
+    Z = (np.asarray(groups)[:, None] == np.arange(1, m + 1)).astype(float)
     idx = np.arange(m)
     R = rho ** np.abs(idx[:, None] - idx[None, :]) if rho != 0.0 else np.eye(m)
-    W = np.eye(n) + gamma * Z @ R @ Z.T
-    Wi = np.linalg.inv(W)
-    XtWiX = X.T @ Wi @ X
-    beta = np.linalg.solve(XtWiX, X.T @ Wi @ y)
-    r = y - X @ beta
-    s2 = float(r @ Wi @ r) / (n - p)
+    C = np.linalg.cholesky(np.eye(n) + gamma * Z @ R @ Z.T)
+    Xw = solve_triangular(C, X, lower=True)
+    y = y - X @ np.linalg.lstsq(X, y, rcond=None)[0]
+    yw = solve_triangular(C, y, lower=True)
+    Q, Rq = np.linalg.qr(Xw)
+    r = yw - Q @ (Q.T @ yw)
+    s2 = float(r @ r) / (n - p)
     return (
         (n - p) * math.log(s2)
-        + np.linalg.slogdet(W)[1]
-        + np.linalg.slogdet(XtWiX)[1]
+        + 2.0 * np.log(np.diag(C)).sum()
+        + 2.0 * np.log(np.abs(np.diag(Rq))).sum()
         + (n - p)
     )
 

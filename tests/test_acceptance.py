@@ -18,7 +18,7 @@ from platformtrial import (
     generate_trial,
     run_scenario,
 )
-from platformtrial.mixed_model import ar1_correlation, reml_fit, reml_neg2loglik
+from platformtrial.mixed_model import _RemlWorkspace, ar1_correlation, reml_fit
 from platformtrial.regression_engine import DesignMatrix, ols_fit, t_sf
 from platformtrial.simharness import GridSpec, rows_to_csv, run_grid
 from platformtrial.spline import SplineBasis, basis_matrix
@@ -238,8 +238,8 @@ def test_criterion_10_oracle_suites():
     u = rng.normal(0.0, 0.8, g)
     y1 = np.concatenate([2.0 + ui + rng.normal(0.0, 1.0, m_per) for ui in u])
     X1 = np.ones((g * m_per, 1))
-    Z1 = np.kron(np.eye(g), np.ones((m_per, 1)))
-    anova_fit = reml_fit(X1, Z1, y1)
+    groups1 = np.repeat(np.arange(1, g + 1), m_per)
+    anova_fit = reml_fit(X1, groups1, y1)
     ybar_i = y1.reshape(g, m_per).mean(axis=1)
     msb = m_per * ((ybar_i - y1.mean()) ** 2).sum() / (g - 1)
     msw = ((y1.reshape(g, m_per) - ybar_i[:, None]) ** 2).sum() / (g * m_per - g)
@@ -248,12 +248,12 @@ def test_criterion_10_oracle_suites():
     n, m = 60, 3
     X2 = np.column_stack([np.ones(n), rng.normal(size=(n, 1))])
     grp = rng.integers(0, m, n)
-    Z2 = np.eye(m)[grp]
     y2 = X2 @ np.array([1.0, 0.3]) + 0.8 * rng.normal(size=m)[grp] + rng.normal(size=n)
-    fit2 = reml_fit(X2, Z2, y2, cov_structure="ar1")
-    ours = reml_neg2loglik(X2, Z2, y2, fit2.sigma2_random / fit2.sigma2, fit2.rho, "ar1")
+    fit2 = reml_fit(X2, grp + 1, y2, cov_structure="ar1")
+    work2 = _RemlWorkspace(X2, grp + 1, y2)
+    ours = work2.neg2ll(fit2.sigma2_random / fit2.sigma2, fit2.rho, "ar1")
     grid_best = min(
-        reml_neg2loglik(X2, Z2, y2, math.exp(lg), math.tanh(z), "ar1")
+        work2.neg2ll(math.exp(lg), math.tanh(z), "ar1")
         for lg in np.linspace(-12.0, 5.0, 50)
         for z in np.linspace(-2.6, 2.6, 50)
     )

@@ -1,19 +1,33 @@
 import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from platformtrial.analysis import (
+    ESTIMATORS,
     ModelSpec,
     default_model_set,
     fit,
     results_to_csv,
     results_to_json,
 )
-from platformtrial.datagen import TrendSpec, TrialDataset, empirical_timeline, generate_trial, slice_for_arm
+from platformtrial.datagen import (
+    TREND_PATTERNS,
+    TrendSpec,
+    TrialDataset,
+    empirical_timeline,
+    generate_trial,
+    read_csv,
+    slice_for_arm,
+    write_csv,
+)
 from platformtrial.design import ConfigError, TrialConfig
+from platformtrial.regression_engine import RankDeficiencyError
 from platformtrial.simharness import Scenario, run_scenario
 
 
@@ -121,6 +135,23 @@ class TestTwoSampleBaselines:
         exit_ = ds.timeline.exit[2]
         expected = int(((sl.arm == 0) & (sl.t >= entry) & (sl.t <= exit_)).sum())
         assert r.diagnostics["n_controls_concurrent"] == expected
+
+    def test_separate_uses_own_first_record_as_entry(self):
+        # arm 2 enrolls before arm 1: each arm's concurrent controls start at
+        # its own first record, whatever the arm order
+        arm = np.array([0, 2, 0, 2, 0, 1, 0, 2, 1, 0, 1, 0, 2, 1, 0, 1, 2, 0])
+        y = np.random.default_rng(7).normal(size=arm.size)
+        ds = manual_dataset(arm, y)
+        assert ds.timeline.entry == (6.0, 2.0)
+        for m in (1, 2):
+            sl = slice_for_arm(ds, m)
+            first = sl.t[sl.arm == m].min()
+            controls = (sl.arm == 0) & (sl.t >= first)
+            r = separate(sl, m)
+            assert r.diagnostics["n_controls_concurrent"] == int(controls.sum())
+            assert r.theta_hat == pytest.approx(
+                sl.y[sl.arm == m].mean() - sl.y[controls].mean(), abs=1e-12
+            )
 
 
 class TestFitDispatch:
@@ -238,3 +269,42 @@ class TestSerialization:
         rows = json.loads(path.read_text())
         assert {r["estimator"] for r in rows} == {"fixed_period", "pooled", "separate"}
         assert all("theta_hat" in r and "p_two" in r for r in rows)
+
+
+def fit_outcome(ds, m, spec):
+    """The FitResult, or the class and message of the error the fit raised."""
+    try:
+        return fit(ds, m, spec)
+    except (ConfigError, RankDeficiencyError, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    K=st.integers(min_value=2, max_value=6),
+    d=st.integers(min_value=0, max_value=300),
+    pattern=st.sampled_from(TREND_PATTERNS),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    data=st.data(),
+)
+def test_csv_round_trip_fits_like_memory(tmp_path_factory, K, d, pattern, seed, data):
+    # the CSV carries no eligibility times, so the in-memory side gets the
+    # timeline read_csv rebuilds from the records, not the simulated one
+    cfg = TrialConfig(K=K, d=d, n=30, eta0=0.0, theta=(0.3,) * K, sigma=1.0, M=K)
+    lam = tuple(0.0 if pattern == "none" else 0.1 * k for k in range(K + 1))
+    trend = TrendSpec(pattern, lam, n_p=20, psi=1.5)
+    ds = generate_trial(cfg, trend, "alternative", seed=seed)
+    path = tmp_path_factory.mktemp("round_trip") / "data.csv"
+    write_csv(ds, path)
+    back = read_csv(path)
+    for name in ("j", "arm", "t", "y"):
+        a, b = getattr(ds, name), getattr(back, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    memory = replace(ds, timeline=empirical_timeline(ds.arm, ds.t))
+    assert back.timeline == memory.timeline
+    m = data.draw(st.integers(min_value=1, max_value=K), label="m")
+    c_length = data.draw(st.sampled_from([25.0, 60.0, 150.0]), label="c_length")
+    sliced_back, sliced_memory = slice_for_arm(back, m), slice_for_arm(memory, m)
+    for name in ESTIMATORS:
+        spec = ModelSpec(name, c_length=c_length)
+        assert fit_outcome(sliced_back, m, spec) == fit_outcome(sliced_memory, m, spec), name

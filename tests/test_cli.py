@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from platformtrial.cli import load_config, main
-from platformtrial.datagen import TrendSpec, generate_trial, write_csv
+from platformtrial.datagen import TrendSpec, generate_trial, read_csv, write_csv
 from platformtrial.design import TrialConfig
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -244,6 +244,16 @@ class TestAnalyze:
         trt = ds.y[keep & (ds.arm == 2)]
         ctl = ds.y[keep & (ds.arm == 0) & (ds.t >= entry2)]
         assert math.isclose(float(row["theta_hat"]), trt.mean() - ctl.mean(), abs_tol=1e-10)
+
+    @pytest.mark.parametrize("seed", [12, 3])
+    def test_arms_entering_together_exit_zero(self, tmp_path, seed):
+        # with d = 0 every arm is eligible from t = 1, so the empirical entries
+        # (each arm's first record) come in the random order of randomization
+        data, _ = make_dataset_csv(tmp_path, seed=seed, K=4, d=0)
+        entries = read_csv(data).timeline.entry
+        assert list(entries) != sorted(entries)
+        assert main(["analyze", "--data", str(data), "--arm", "3",
+                     "--models", "fixed_period,pooled"]) == 0
 
     def test_missing_column_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

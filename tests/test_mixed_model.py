@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from platformtrial import mixed_model
@@ -12,7 +14,6 @@ from platformtrial.mixed_model import (
     ar1_correlation,
     build_random_design,
     reml_fit,
-    reml_neg2loglik,
 )
 from platformtrial.regression_engine import DesignMatrix, ols_fit, wald_test
 
@@ -24,17 +25,20 @@ def one_way_instance(g=8, m_per=12, sd_u=0.7, seed=42):
     u = rng.normal(0.0, sd_u, g)
     y = np.concatenate([3.0 + ui + rng.normal(0.0, 1.0, m_per) for ui in u])
     X = np.ones((g * m_per, 1))
-    Z = np.kron(np.eye(g), np.ones((m_per, 1)))
-    return X, Z, y
+    groups = np.repeat(np.arange(1, g + 1), m_per)
+    return X, groups, y
 
 
 def small_ar1_instance(n=60, m=3, seed=5):
     rng = np.random.default_rng(seed)
     X = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
     grp = rng.integers(0, m, n)
-    Z = np.eye(m)[grp]
     y = X @ np.array([1.0, 0.5, -0.2]) + 0.9 * rng.normal(size=m)[grp] + rng.normal(size=n)
-    return X, Z, y
+    return X, grp + 1, y
+
+
+def neg2ll(X, groups, y, gamma, rho=0.0, structure="independent"):
+    return _RemlWorkspace(X, groups, y).neg2ll(gamma, rho, structure)
 
 
 class TestAr1Correlation:
@@ -65,28 +69,29 @@ class TestBuildRandomDesign:
 
     def test_interval_grouping_skips_first(self):
         arms = np.zeros(12, dtype=int)
-        Z, labels = build_random_design(self.TIMES, arms, "interval", self.STARTS, 12)
+        groups, labels = build_random_design(self.TIMES, arms, "interval", self.STARTS, 12)
         assert labels == ("iv2", "iv3")
-        assert Z.shape == (12, 2)
-        assert Z[:, 0].sum() == 4 and Z[:, 1].sum() == 4
+        assert groups.shape == (12,) and groups.max() == 2
+        assert np.array_equal(np.bincount(groups), [4, 4, 4])
 
     def test_interaction_grouping_excludes_arm_m(self):
         arms = np.array([0, 1, 2, 3, 1, 2, 3, 0, 1, 2, 3, 0])
-        Z, labels = build_random_design(
+        groups, labels = build_random_design(
             self.TIMES, arms, "interaction", self.STARTS, 12,
             treatments=[1, 2, 3], exclude_arm=3,
         )
         # arms {1, 2} x intervals {2, 3}, every combination nonzero here
         assert labels == ("trt1:iv2", "trt1:iv3", "trt2:iv2", "trt2:iv3")
-        assert Z.shape == (12, 4)
+        assert groups.shape == (12,) and groups.max() == 4
 
     def test_zero_columns_removed(self):
         arms = np.array([0, 1, 2, 0, 1, 0, 1, 0, 1, 0, 1, 0])  # arm 2 only in interval 1
-        Z, labels = build_random_design(
+        groups, labels = build_random_design(
             self.TIMES, arms, "interaction", self.STARTS, 12,
             treatments=[1, 2], exclude_arm=None,
         )
         assert all("trt2" not in lab for lab in labels)
+        assert np.bincount(groups)[1:].min() > 0
 
     def test_single_interval_degenerate(self):
         with pytest.raises(DegenerateRandomDesign):
@@ -96,8 +101,8 @@ class TestBuildRandomDesign:
 class TestRemlFit:
     def test_matches_balanced_anova_closed_form(self):
         g, m_per = 8, 12
-        X, Z, y = one_way_instance(g, m_per)
-        fit = reml_fit(X, Z, y)
+        X, groups, y = one_way_instance(g, m_per)
+        fit = reml_fit(X, groups, y)
         ybar_i = y.reshape(g, m_per).mean(axis=1)
         msb = m_per * ((ybar_i - y.mean()) ** 2).sum() / (g - 1)
         msw = ((y.reshape(g, m_per) - ybar_i[:, None]) ** 2).sum() / (g * m_per - g)
@@ -106,23 +111,24 @@ class TestRemlFit:
         assert fit.converged
 
     def test_objective_matches_dense_oracle(self):
-        X, Z, y = small_ar1_instance(n=80, m=5)
+        X, groups, y = small_ar1_instance(n=80, m=5)
         for gamma, rho in [(0.5, 0.0), (2.0, 0.4), (0.01, -0.6), (10.0, 0.9)]:
-            ours = reml_neg2loglik(X, Z, y, gamma, rho, "ar1")
-            dense = dense_reml_neg2ll(X, Z, y, gamma, rho)
+            ours = neg2ll(X, groups, y, gamma, rho, "ar1")
+            dense = dense_reml_neg2ll(X, groups, y, gamma, rho)
             assert ours == pytest.approx(dense, abs=1e-8)
         for gamma in (0.2, 1.0, 7.0):
-            assert reml_neg2loglik(X, Z, y, gamma) == pytest.approx(
-                dense_reml_neg2ll(X, Z, y, gamma), abs=1e-8
+            assert neg2ll(X, groups, y, gamma) == pytest.approx(
+                dense_reml_neg2ll(X, groups, y, gamma), abs=1e-8
             )
 
     def test_beats_grid_search_oracle(self):
-        X, Z, y = small_ar1_instance(n=60, m=3)
-        fit = reml_fit(X, Z, y, cov_structure="ar1")
+        X, groups, y = small_ar1_instance(n=60, m=3)
+        fit = reml_fit(X, groups, y, cov_structure="ar1")
         gamma_hat = fit.sigma2_random / fit.sigma2
-        ours = reml_neg2loglik(X, Z, y, gamma_hat, fit.rho, "ar1")
+        work = _RemlWorkspace(X, groups, y)
+        ours = work.neg2ll(gamma_hat, fit.rho, "ar1")
         grid_best = min(
-            reml_neg2loglik(X, Z, y, math.exp(lg), math.tanh(z), "ar1")
+            work.neg2ll(math.exp(lg), math.tanh(z), "ar1")
             for lg in np.linspace(-12.0, 5.0, 50)
             for z in np.linspace(-2.6, 2.6, 50)
         )
@@ -132,31 +138,32 @@ class TestRemlFit:
         rng = np.random.default_rng(9)
         n, m = 90, 4
         X = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
-        Z = np.eye(m)[rng.integers(0, m, n)]
+        groups = rng.integers(0, m, n) + 1
         y = X @ np.array([0.5, 1.0, -1.0]) + rng.normal(size=n)  # no group effects
-        fit = reml_fit(X, Z, y)
+        fit = reml_fit(X, groups, y)
         ols = ols_fit(DesignMatrix(X=X, y=y, columns=("a", "b", "c")))
         assert fit.sigma2_random < 1e-6
         assert np.abs(fit.beta - ols.beta).max() < 1e-6
         assert fit.converged  # boundary solution is reported, not an error
 
     def test_ar1_at_rho_zero_equals_independent_structure(self):
-        X, Z, y = small_ar1_instance(n=70, m=4, seed=11)
+        X, groups, y = small_ar1_instance(n=70, m=4, seed=11)
         for gamma in (0.1, 1.0, 5.0):
-            a = reml_neg2loglik(X, Z, y, gamma, 0.0, "ar1")
-            b = reml_neg2loglik(X, Z, y, gamma, 0.0, "independent")
+            a = neg2ll(X, groups, y, gamma, 0.0, "ar1")
+            b = neg2ll(X, groups, y, gamma, 0.0, "independent")
             assert a == pytest.approx(b, abs=1e-12)
 
     def test_theta_invariant_to_random_column_relabeling(self):
-        X, Z, y = small_ar1_instance(n=80, m=5, seed=13)
-        fit1 = reml_fit(X, Z, y)
-        perm = np.random.default_rng(1).permutation(Z.shape[1])
-        fit2 = reml_fit(X, Z[:, perm], y)
+        X, groups, y = small_ar1_instance(n=80, m=5, seed=13)
+        fit1 = reml_fit(X, groups, y)
+        perm = np.random.default_rng(1).permutation(5)
+        # the group that was column perm[j] of Z becomes column j
+        fit2 = reml_fit(X, np.argsort(perm)[groups - 1] + 1, y)
         assert np.abs(fit1.beta - fit2.beta).max() < 1e-10
 
     def test_invariants_on_fit(self):
-        X, Z, y = one_way_instance()
-        fit = reml_fit(X, Z, y, cov_structure="ar1")
+        X, groups, y = one_way_instance()
+        fit = reml_fit(X, groups, y, cov_structure="ar1")
         assert fit.sigma2 > 0
         assert fit.sigma2_random >= 0
         assert -1.0 < fit.rho < 1.0
@@ -164,8 +171,8 @@ class TestRemlFit:
 
     def test_accepted_iterates_monotone(self):
         # the optimizer never accepts a step that worsens the REML objective
-        X, Z, y = small_ar1_instance(n=60, m=3, seed=17)
-        work = _RemlWorkspace(X, Z, y)
+        X, groups, y = small_ar1_instance(n=60, m=3, seed=17)
+        work = _RemlWorkspace(X, groups, y)
         obj = lambda x: work.neg2ll(math.exp(x[0]), math.tanh(x[1]), "ar1")
         trace = []
         minimize(
@@ -176,18 +183,68 @@ class TestRemlFit:
         assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
 
     def test_exhausted_budget_reported_as_not_converged(self, monkeypatch):
-        X, Z, y = small_ar1_instance(n=60, m=3)
-        assert reml_fit(X, Z, y, cov_structure="ar1").converged
+        X, groups, y = small_ar1_instance(n=60, m=3)
+        assert reml_fit(X, groups, y, cov_structure="ar1").converged
         monkeypatch.setattr(mixed_model, "_MAX_EVALS", 1)  # Nelder-Mead keeps its floor of 10
-        fit = reml_fit(X, Z, y, cov_structure="ar1")
+        fit = reml_fit(X, groups, y, cov_structure="ar1")
         assert not fit.converged
         assert fit.iterations < 40  # 21 scan points plus the small budget
 
     def test_rank_deficient_fixed_design_rejected(self):
         X = np.ones((30, 2))
-        Z = np.eye(3)[np.random.default_rng(0).integers(0, 3, 30)]
+        groups = np.random.default_rng(0).integers(0, 3, 30) + 1
         with pytest.raises(ConfigError, match="rank"):
-            reml_fit(X, Z, np.zeros(30))
+            reml_fit(X, groups, np.zeros(30))
+
+
+    @pytest.mark.parametrize("groups, problem", [
+        (np.ones((30, 1), dtype=int), "1-D integer array of length 30, got int64 of shape"),
+        (np.ones(29, dtype=int), r"1-D integer array of length 30, got int64 of shape \(29,\)"),
+        (np.ones(30), "1-D integer array of length 30, got float64"),
+        (np.ones(30, dtype=bool), "1-D integer array of length 30, got bool"),
+        (np.r_[-1, np.ones(29, dtype=int)], "non-negative"),
+        (np.zeros(30, dtype=int), "at least one group"),
+    ], ids=["2-D", "length", "float", "bool", "negative", "all-zero"])
+    def test_malformed_groups_rejected(self, groups, problem):
+        X, _, y = small_ar1_instance(n=30, m=3)
+        with pytest.raises(ConfigError, match=problem):
+            reml_fit(X, groups, y)
+
+
+    def test_unsigned_codes_accepted(self):
+        X, groups, y = small_ar1_instance(n=60, m=3)
+        fit = reml_fit(X, groups.astype(np.uint64), y)
+        assert np.array_equal(fit.beta, reml_fit(X, groups, y).beta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=4, max_value=40),
+    p=st.integers(min_value=1, max_value=3),
+    m=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    log10_gamma=st.floats(min_value=-10.0, max_value=4.0),
+    rho=st.floats(min_value=-0.95, max_value=0.95),
+    structure=st.sampled_from(["independent", "ar1"]),
+    log10_scale=st.floats(min_value=0.0, max_value=3.0),
+)
+def test_objective_matches_dense_oracle_on_random_designs(n, p, m, seed, log10_gamma, rho,
+                                                          structure, log10_scale):
+    # codes 0..m: some records carry no random effect, and a group may be empty;
+    # fixed effects up to 1000 noise SDs make y'W^-1 y dwarf the residual
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
+    groups = rng.integers(0, m + 1, n)
+    groups[:2] = m, 0
+    beta = 10.0**log10_scale * rng.normal(size=p)
+    y = X @ beta + rng.normal(size=m + 1)[groups] + rng.normal(size=n)
+    gamma = 10.0 ** log10_gamma
+    if structure == "independent":
+        rho = 0.0
+    ours = _RemlWorkspace(X, groups, y).neg2ll(gamma, rho, structure)
+    dense = dense_reml_neg2ll(X, groups, y, gamma, rho)
+    # relative, with a floor of 1: -2 REML can cross zero
+    assert abs(ours - dense) <= 1e-10 * max(abs(dense), 1.0)
 
 
 class TestMixedWald:
@@ -195,9 +252,9 @@ class TestMixedWald:
         rng = np.random.default_rng(3)  # a draw with no between-group variation
         n, m = 120, 5
         X = np.column_stack([np.ones(n), (rng.random(n) < 0.5).astype(float)])
-        Z = np.eye(m)[rng.integers(0, m, n)]
+        groups = rng.integers(0, m, n) + 1
         y = X @ np.array([0.0, 0.4]) + rng.normal(size=n)
-        fit = reml_fit(X, Z, y, columns=("intercept", "trt1"))
+        fit = reml_fit(X, groups, y, columns=("intercept", "trt1"))
         assert fit.sigma2_random < 1e-6
         ols = ols_fit(DesignMatrix(X=X, y=y, columns=("intercept", "trt1")))
         wt_mixed = wald_test(fit, "trt1")
@@ -205,8 +262,8 @@ class TestMixedWald:
         assert wt_mixed.p_one == pytest.approx(wt_ols.p_one, abs=1e-6)
 
     def test_t_zero_gives_half(self):
-        X, Z, y = one_way_instance()
-        fit = reml_fit(X, Z, y, columns=("intercept",))
+        X, groups, y = one_way_instance()
+        fit = reml_fit(X, groups, y, columns=("intercept",))
         patched = fit.__class__(
             beta=np.zeros_like(fit.beta), cov=fit.cov, columns=fit.columns, df=fit.df,
             sigma2=fit.sigma2, sigma2_random=fit.sigma2_random, rho=fit.rho,
