@@ -222,8 +222,10 @@ def fit(dataset: TrialDataset, m: int, spec: ModelSpec) -> FitResult:
             estimate = mixed_model.reml_fit(
                 dm.X, groups, dm.y, cov_structure=kind.covariance, columns=dm.columns
             )
+            boundary = estimate.sigma2_random <= mixed_model.BOUNDARY_GAMMA * estimate.sigma2
             diag.update(n_random_columns=len(labels), sigma2_random=estimate.sigma2_random,
-                        converged=estimate.converged, iterations=estimate.iterations)
+                        converged=estimate.converged, iterations=estimate.iterations,
+                        boundary=bool(boundary))
             if estimate.rho is not None:
                 diag["rho"] = estimate.rho
     if estimate is None:

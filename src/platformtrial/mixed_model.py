@@ -6,6 +6,9 @@ so the random design is a group code per record and a fit needs only group
 statistics. The restricted likelihood is profiled down to gamma =
 sigma2_random / sigma2 (log scale) and, for AR(1), rho (atanh scale). An
 evaluation is elementwise in the groups, after one m x m eigh for AR(1).
+The independent structure has gamma alone, so a scan on log gamma brackets
+the optimum and a bounded scalar search refines it; AR(1) starts Nelder-Mead
+from a scan over (log gamma, atanh rho).
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize, minimize_scalar
 
 from .design import ConfigError, interval_indices
 
@@ -22,7 +25,11 @@ _PENALTY = 1e12
 _MAX_EVALS = 500  # objective evaluations per fit, scan included
 _FATOL = 1e-8
 _LOG_GAMMA_BOUND = 34.0
+_LOG_GAMMA_SCAN = (-10.0, -6.0, -3.0, -1.0, 0.0, 1.0, 3.0)  # the surface can be flat in gamma
 _ATANH_RHO_BOUND = 18.0
+# gamma = sigma2_random / sigma2 at or below this is reported as a boundary
+# (gamma -> 0) solution; boundary fits end at exp(-_LOG_GAMMA_BOUND) ~ 1.7e-15
+BOUNDARY_GAMMA = 1e-6
 
 
 class DegenerateRandomDesign(ConfigError):
@@ -163,11 +170,17 @@ def reml_fit(
     """Fit the mixed model by REML over the transformed variance parameters.
 
     ``groups`` holds each record's random-effect group, 0 for none and 1..m
-    otherwise, as :func:`build_random_design` returns it. Nelder-Mead on
-    (log gamma) or (log gamma, atanh rho); a boundary solution gamma -> 0 is
-    legitimate and reported, not an error. A fit that exhausts the
-    evaluation budget before Nelder-Mead meets its tolerances is returned
-    with converged=False.
+    otherwise, as :func:`build_random_design` returns it.
+
+    Independent structure: the objective is scanned at the log gamma points
+    and both bounds +-34. If the lower bound is best, the boundary gamma -> 0
+    is the solution (legitimate, not an error) and no search runs; otherwise a
+    bounded scalar search runs between the best point's two scan neighbours,
+    and the better of its result and that point is returned. AR(1):
+    Nelder-Mead on (log gamma, atanh rho) from the best point of a 21-point
+    scan. A fit whose search exhausts the evaluation budget before meeting its
+    tolerance is returned with converged=False. ``iterations`` counts every
+    objective evaluation, scan included.
     """
     if cov_structure not in ("independent", "ar1"):
         raise ConfigError(f"unknown covariance structure {cov_structure!r}")
@@ -184,32 +197,48 @@ def reml_fit(
     if groups.max() < 1:
         raise DegenerateRandomDesign("groups must name at least one group: every code is 0")
     work = _RemlWorkspace(X, groups.astype(np.intp), y)  # bincount refuses uint64
+    evals = 0
 
-    def unpack(x):
-        gamma = math.exp(float(np.clip(x[0], -_LOG_GAMMA_BOUND, _LOG_GAMMA_BOUND)))
+    def unpack(log_gamma, atanh_rho=0.0):
+        gamma = math.exp(float(np.clip(log_gamma, -_LOG_GAMMA_BOUND, _LOG_GAMMA_BOUND)))
         if cov_structure == "independent":
             return gamma, 0.0
-        return gamma, math.tanh(float(np.clip(x[1], -_ATANH_RHO_BOUND, _ATANH_RHO_BOUND)))
+        return gamma, math.tanh(float(np.clip(atanh_rho, -_ATANH_RHO_BOUND, _ATANH_RHO_BOUND)))
 
-    def objective(x):
-        gamma, rho = unpack(x)
-        return work.neg2ll(gamma, rho, cov_structure)
+    def objective(*x):
+        nonlocal evals
+        evals += 1
+        return work.neg2ll(*unpack(*x), cov_structure)
 
-    # coarse scan picks the Nelder-Mead start; the surface can be flat in gamma
-    scan = [[lg] for lg in (-10.0, -6.0, -3.0, -1.0, 0.0, 1.0, 3.0)]
     if cov_structure == "ar1":
-        scan = [[lg, math.atanh(r)] for [lg] in scan for r in (-0.5, 0.0, 0.5)]
-    best_x, n_scan = scan[int(np.argmin([objective(x) for x in scan]))], len(scan)
-    # the initial simplex holds the scan's best point and Nelder-Mead returns
-    # its best vertex, so the result never falls behind the scan
-    budget = max(_MAX_EVALS - n_scan, 10)
-    res = minimize(
-        objective,
-        np.asarray(best_x, dtype=float),
-        method="Nelder-Mead",
-        options={"fatol": _FATOL, "xatol": 1e-7, "maxfev": budget, "maxiter": budget},
-    )
-    gamma, rho = unpack(res.x)
+        scan = [(lg, math.atanh(r)) for lg in _LOG_GAMMA_SCAN for r in (-0.5, 0.0, 0.5)]
+        start = scan[int(np.argmin([objective(*x) for x in scan]))]
+        # the initial simplex holds the scan's best point and Nelder-Mead returns
+        # its best vertex, so the result never falls behind the scan
+        budget = max(_MAX_EVALS - evals, 1)
+        res = minimize(
+            lambda x: objective(*x),
+            np.asarray(start, dtype=float),
+            method="Nelder-Mead",
+            options={"fatol": _FATOL, "xatol": 1e-7, "maxfev": budget, "maxiter": budget},
+        )
+        best, converged = tuple(res.x), bool(res.success)
+    else:
+        scan = (-_LOG_GAMMA_BOUND, *_LOG_GAMMA_SCAN, _LOG_GAMMA_BOUND)
+        values = [objective(lg) for lg in scan]
+        i = int(np.argmin(values))
+        best, converged = (scan[i],), True
+        if i > 0:  # at i == 0 the boundary gamma -> 0 is best and needs no search
+            res = minimize_scalar(
+                objective,
+                bounds=(scan[i - 1], scan[min(i + 1, len(scan) - 1)]),
+                method="bounded",
+                options={"xatol": 1e-7, "maxiter": max(_MAX_EVALS - evals, 1)},
+            )
+            converged = bool(res.success)
+            if res.fun < values[i]:  # never fall behind the scan
+                best = (res.x,)
+    gamma, rho = unpack(*best)
     neg2, beta, XtWiX, sigma2 = work.evaluate(gamma, rho, cov_structure)
     df = work.n - work.p
     return MixedFit(
@@ -221,6 +250,6 @@ def reml_fit(
         sigma2_random=gamma * sigma2,
         rho=rho if cov_structure == "ar1" else None,
         reml_loglik=-0.5 * (neg2 + df * math.log(2.0 * math.pi)),
-        converged=bool(res.success),
-        iterations=int(res.nfev) + n_scan,
+        converged=converged,
+        iterations=evals,
     )

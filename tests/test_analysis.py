@@ -195,9 +195,18 @@ class TestFitDispatch:
         sl = slice_for_arm(ds, 3)
         r = fit(sl, 3, ModelSpec("mixed_calendar_ar1", c_length=100))
         assert {"df", "n_obs", "n_intervals", "n_random_columns", "sigma2_random",
-                "rho", "converged"} <= set(r.diagnostics)
+                "rho", "converged", "boundary"} <= set(r.diagnostics)
         r2 = fit(sl, 3, ModelSpec("spline_period"))
         assert r2.diagnostics["spline_degree"] == 3
+
+    @pytest.mark.parametrize("lam, boundary", [(0.0, True), (2.0, False)],
+                             ids=["no_group_effect", "large_group_effect"])
+    def test_reml_fits_report_boundary(self, lam, boundary):
+        # random interval intercepts absorb the trend: none gives gamma -> 0
+        ds = generate_trial(make_config(), TrendSpec("linear", lam=(lam,) * 5), "null", seed=1)
+        diag = fit(slice_for_arm(ds, 3), 3, ModelSpec("mixed_period")).diagnostics
+        assert diag["boundary"] is boundary
+        assert bool(diag["sigma2_random"] < 1e-12) is boundary
 
     def test_sidedness_controls_rejection(self):
         rng = np.random.default_rng(9)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
@@ -154,12 +154,21 @@ class TestRemlFit:
             assert a == pytest.approx(b, abs=1e-12)
 
     def test_theta_invariant_to_random_column_relabeling(self):
+        # relabeling changes the objective only by rounding, and the search
+        # resolves log gamma to ~1e-7, so the fits agree in -2 REML and beta
+        # to that resolution, not bit for bit
         X, groups, y = small_ar1_instance(n=80, m=5, seed=13)
         fit1 = reml_fit(X, groups, y)
-        perm = np.random.default_rng(1).permutation(5)
-        # the group that was column perm[j] of Z becomes column j
-        fit2 = reml_fit(X, np.argsort(perm)[groups - 1] + 1, y)
-        assert np.abs(fit1.beta - fit2.beta).max() < 1e-10
+        for seed in range(20):
+            perm = np.random.default_rng(seed).permutation(5)
+            # the group that was column perm[j] of Z becomes column j
+            relabeled = np.argsort(perm)[groups - 1] + 1
+            for gamma in (1e-3, 0.3, 5.0):
+                ref = neg2ll(X, groups, y, gamma)
+                assert abs(neg2ll(X, relabeled, y, gamma) - ref) <= 1e-12 * abs(ref)
+            fit2 = reml_fit(X, relabeled, y)
+            assert abs(-2.0 * fit2.reml_loglik + 2.0 * fit1.reml_loglik) <= 1e-10
+            assert np.abs(fit2.beta - fit1.beta).max() <= 1e-7 * np.abs(fit1.beta).max()
 
     def test_invariants_on_fit(self):
         X, groups, y = one_way_instance()
@@ -182,13 +191,32 @@ class TestRemlFit:
         )
         assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
 
-    def test_exhausted_budget_reported_as_not_converged(self, monkeypatch):
-        X, groups, y = small_ar1_instance(n=60, m=3)
-        assert reml_fit(X, groups, y, cov_structure="ar1").converged
-        monkeypatch.setattr(mixed_model, "_MAX_EVALS", 1)  # Nelder-Mead keeps its floor of 10
-        fit = reml_fit(X, groups, y, cov_structure="ar1")
+    @pytest.mark.parametrize("structure, n_scan", [("independent", 9), ("ar1", 21)],
+                             ids=["independent", "ar1"])
+    def test_exhausted_budget_reported_as_not_converged(self, monkeypatch, structure, n_scan):
+        X, groups, y = small_ar1_instance(n=60, m=3)  # interior optimum: the search runs
+        assert reml_fit(X, groups, y, cov_structure=structure).converged
+        monkeypatch.setattr(mixed_model, "_MAX_EVALS", 1)  # the search keeps a floor of 1
+        fit = reml_fit(X, groups, y, cov_structure=structure)
         assert not fit.converged
-        assert fit.iterations < 40  # 21 scan points plus the small budget
+        assert fit.iterations <= n_scan + 2  # the scan plus the exhausted search
+
+    # seed 2 without a group effect ends the independent fit at the boundary,
+    # so no search runs
+    @pytest.mark.parametrize("structure", ["independent", "ar1"])
+    @pytest.mark.parametrize("sd_u, seed", [(0.0, 2), (0.9, 3)], ids=["boundary", "interior"])
+    def test_iterations_count_objective_calls(self, monkeypatch, structure, sd_u, seed):
+        calls = []
+        original = _RemlWorkspace.neg2ll
+
+        def counted(self, *args):
+            calls.append(args)
+            return original(self, *args)
+
+        monkeypatch.setattr(_RemlWorkspace, "neg2ll", counted)
+        X, groups, y = one_way_instance(g=6, m_per=10, sd_u=sd_u, seed=seed)
+        fit = reml_fit(X, groups, y, cov_structure=structure)
+        assert fit.iterations == len(calls) > 0
 
     def test_rank_deficient_fixed_design_rejected(self):
         X = np.ones((30, 2))
@@ -245,6 +273,41 @@ def test_objective_matches_dense_oracle_on_random_designs(n, p, m, seed, log10_g
     dense = dense_reml_neg2ll(X, groups, y, gamma, rho)
     # relative, with a floor of 1: -2 REML can cross zero
     assert abs(ours - dense) <= 1e-10 * max(abs(dense), 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(min_value=6, max_value=60),
+    p=st.integers(min_value=1, max_value=3),
+    m=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    sd_u=st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=30.0)),
+)
+def test_independent_fit_no_worse_than_scan_or_fine_grid_over_its_bracket(n, p, m, seed, sd_u):
+    # no group effect (the gamma -> 0 boundary) up to effects 30 noise SDs wide.
+    # gamma must be identifiable: Z not absorbed by X, and residual degrees of
+    # freedom left beyond [X Z]; otherwise the surface is flat or sigma2 -> 0
+    # as gamma -> inf, and the objective is rounding noise at large gamma.
+    # A global fine grid is not asserted: the surface can be multimodal.
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
+    groups = rng.integers(0, m + 1, n)
+    groups[0] = m
+    Z = (groups[:, None] == np.arange(1, m + 1)).astype(float)
+    assume(p < np.linalg.matrix_rank(np.column_stack([X, Z])) < n)
+    u = np.r_[0.0, sd_u * rng.normal(size=m)]
+    y = X @ rng.normal(size=p) + u[groups] + rng.normal(size=n)
+    fit = reml_fit(X, groups, y)
+    ours = -2.0 * fit.reml_loglik - fit.df * math.log(2.0 * math.pi)
+    work = _RemlWorkspace(X, groups, y)
+    objective = lambda lg: work.neg2ll(math.exp(lg), 0.0, "independent")
+    bound = mixed_model._LOG_GAMMA_BOUND
+    scan = (-bound, *mixed_model._LOG_GAMMA_SCAN, bound)
+    values = [objective(lg) for lg in scan]
+    assert ours <= min(values) + 1e-8
+    i = int(np.argmin(values))
+    bracket = np.linspace(scan[max(i - 1, 0)], scan[min(i + 1, len(scan) - 1)], 2001)
+    assert ours <= min(objective(lg) for lg in bracket) + 1e-8
 
 
 class TestMixedWald:
