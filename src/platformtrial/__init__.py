@@ -18,7 +18,7 @@ from .design import (
     derive_periods,
     entry_times,
 )
-from .mixed_model import MixedFit, ar1_correlation, reml_fit
+from .mixed_model import MixedFit, reml_fit
 from .regression_engine import OlsFit, RankDeficiencyError, build_design, ols_fit, t_sf, t_test, wald_test
 from .simharness import GridSpec, OperatingCharacteristics, Scenario, run_grid, run_scenario
 from .spline import SplineBasis, basis_matrix, knots_at
@@ -41,7 +41,6 @@ __all__ = [
     "TrialConfig",
     "TrialDataset",
     "TrialTimeline",
-    "ar1_correlation",
     "basis_matrix",
     "build_design",
     "default_model_set",

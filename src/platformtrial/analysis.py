@@ -12,7 +12,7 @@ import numpy as np
 from . import mixed_model, spline
 from .datagen import TrialDataset
 from .design import ConfigError, derive_calendar, derive_periods
-from .regression_engine import WaldTest, build_design, ols_fit, t_test, wald_test
+from .regression_engine import build_design, ols_fit, wald_test
 
 
 @dataclass(frozen=True)
@@ -151,61 +151,50 @@ def _prepare(dataset: TrialDataset, m: int) -> _Prepared:
     )
 
 
-def _two_sample_t(prep: _Prepared, m: int, spec: ModelSpec) -> tuple[WaldTest, dict]:
-    """Arm m versus every control (pooled) or its concurrent controls only (separate).
-
-    Concurrent controls are those randomized from arm m's entry on.
-    """
-    controls = prep.arm == 0
-    diag = {}
-    if spec.kind.family == "separate":
-        controls &= prep.t >= prep.m_entry
-        diag["n_controls_concurrent"] = int(controls.sum())
-    y_trt, y_ctl = prep.y[prep.arm == m], prep.y[controls]
-    n1, n0 = y_trt.size, y_ctl.size
-    if n0 == 0:
-        raise ConfigError("no control records available for the t-test")
-    if n1 + n0 < 3:
-        raise ConfigError("too few observations for a two-sample t-test")
-    ss1 = float(((y_trt - y_trt.mean()) ** 2).sum())
-    ss0 = float(((y_ctl - y_ctl.mean()) ** 2).sum())
-    df = n1 + n0 - 2
-    se = math.sqrt((ss1 + ss0) / df * (1.0 / n1 + 1.0 / n0))
-    wt = t_test(float(y_trt.mean() - y_ctl.mean()), se, df, spec.sided, spec.alpha)
-    diag.update(df=df, n_treatment=n1, n_controls=n0)
-    return wt, diag
-
-
 def fit(dataset: TrialDataset, m: int, spec: ModelSpec) -> FitResult:
     """Fit one estimator to the analysis set of arm m."""
     kind = spec.kind
     prep = _prepare(dataset, m)
     if kind.timescale is None:
-        wt, diag = _two_sample_t(prep, m, spec)
-        return FitResult(spec.label, m, *wt, diagnostics=diag)
-
-    if kind.timescale == "period":
-        tl = dataset.timeline
-        starts = derive_periods(tl.entry, tl.exit, prep.horizon, origin=prep.origin)
+        # regress on arm m's records and all (pooled) or the concurrent
+        # (separate) controls, those randomized from arm m's entry on
+        controls = prep.arm == 0
+        diag = {}
+        if kind.family == "separate":
+            controls &= prep.t >= prep.m_entry
+            diag["n_controls_concurrent"] = int(controls.sum())
+        if not controls.any():
+            raise ConfigError("no control records available for the t-test")
+        in_arm = prep.arm == m
+        # constant groups fit exactly, and the regression's residual would be
+        # rounding noise rather than the zero it is
+        if np.ptp(prep.y[in_arm]) == 0.0 and np.ptp(prep.y[controls]) == 0.0:
+            raise ConfigError("degenerate test: zero standard error")
+        rows = in_arm | controls
+        dm = build_design(prep.t[rows], prep.arm[rows], prep.y[rows], treatments=(m,))
+        diag.update(n_treatment=int(in_arm.sum()), n_controls=int(controls.sum()))
     else:
-        starts = derive_calendar(prep.horizon, spec.c_length, start=prep.origin)
-    diag = {"n_intervals": len(starts)}
-
-    if kind.family == "spline":
-        basis = spline.knots_at(starts, prep.horizon, degree=spec.spline_degree)
-        dm = build_design(
-            prep.t, prep.arm, prep.y, prep.treatments, adjustment="spline", basis=basis
-        )
-        diag.update(spline_degree=spec.spline_degree, n_inner_knots=len(basis.inner_knots))
-    else:
-        # mixed carries time in random interval intercepts only; mixedint keeps
-        # the fixed interval effects and adds random treatment-by-interval terms
-        fixed_time = kind.family in ("fixed", "mixedint")
-        dm = build_design(
-            prep.t, prep.arm, prep.y, prep.treatments,
-            adjustment=kind.timescale if fixed_time else "none",
-            starts=starts, horizon=prep.horizon,
-        )
+        if kind.timescale == "period":
+            tl = dataset.timeline
+            starts = derive_periods(tl.entry, tl.exit, prep.horizon, origin=prep.origin)
+        else:
+            starts = derive_calendar(prep.horizon, spec.c_length, start=prep.origin)
+        diag = {"n_intervals": len(starts)}
+        if kind.family == "spline":
+            basis = spline.knots_at(starts, prep.horizon, degree=spec.spline_degree)
+            dm = build_design(
+                prep.t, prep.arm, prep.y, prep.treatments, adjustment="spline", basis=basis
+            )
+            diag.update(spline_degree=spec.spline_degree, n_inner_knots=len(basis.inner_knots))
+        else:
+            # mixed carries time in random interval intercepts only; mixedint keeps
+            # the fixed interval effects and adds random treatment-by-interval terms
+            fixed_time = kind.family in ("fixed", "mixedint")
+            dm = build_design(
+                prep.t, prep.arm, prep.y, prep.treatments,
+                adjustment=kind.timescale if fixed_time else "none",
+                starts=starts, horizon=prep.horizon,
+            )
 
     estimate = None
     if kind.family in ("mixed", "mixedint"):

@@ -58,7 +58,6 @@ class TrialDataset:
     t: np.ndarray
     y: np.ndarray
     timeline: TrialTimeline
-    seed: int | None = None
     n_target: int | None = None
 
     def __len__(self) -> int:
@@ -216,14 +215,9 @@ def generate_trial(
     y = config.eta0 + effects[arm] + np.asarray(f, dtype=float) + config.sigma * noise
 
     timeline = TrialTimeline(
-        entry=tuple(float(e) for e in entries),
-        exit=tuple(float(x) for x in exits),
-        n_total=n_total,
+        entry=tuple(float(e) for e in entries), exit=tuple(float(x) for x in exits)
     )
-    root = seed if isinstance(seed, int) else None
-    return TrialDataset(
-        j=j, arm=arm, t=j.astype(float), y=y, timeline=timeline, seed=root, n_target=config.n
-    )
+    return TrialDataset(j=j, arm=arm, t=j.astype(float), y=y, timeline=timeline, n_target=config.n)
 
 
 def slice_for_arm(dataset: TrialDataset, m: int) -> TrialDataset:
@@ -267,7 +261,7 @@ def empirical_timeline(arm: np.ndarray, t: np.ndarray) -> TrialTimeline:
         )
     entries = tuple(float(t[arm == k].min()) for k in arms)
     exits = tuple(float(t[arm == k].max()) for k in arms)
-    return TrialTimeline(entry=entries, exit=exits, n_total=int(t.size))
+    return TrialTimeline(entry=entries, exit=exits)
 
 
 def write_csv(dataset: TrialDataset, path) -> None:

@@ -67,7 +67,6 @@ class TrialTimeline:
 
     entry: tuple[float, ...]
     exit: tuple[float, ...]
-    n_total: int
 
     def __post_init__(self):
         # equality only occurs for single-record arms in imported data

@@ -20,6 +20,7 @@ import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
 from .design import ConfigError, interval_indices
+from .regression_engine import DesignMatrix, ols_fit
 
 _PENALTY = 1e12
 _MAX_EVALS = 500  # objective evaluations per fit, scan included
@@ -48,14 +49,6 @@ class MixedFit:
     reml_loglik: float
     converged: bool
     iterations: int
-
-
-def ar1_correlation(m: int, rho: float) -> np.ndarray:
-    """AR(1) correlation matrix: entry (a, b) = rho^|a-b|."""
-    if not -1.0 < rho < 1.0:
-        raise ConfigError(f"AR(1) correlation must satisfy |rho| < 1, got {rho}")
-    idx = np.arange(m)
-    return rho ** np.abs(idx[:, None] - idx[None, :])
 
 
 def build_random_design(
@@ -106,15 +99,16 @@ class _RemlWorkspace:
     T = D^-1/2 Z'A its scaled group sums, and H = D^1/2 R D^1/2.
     """
 
-    def __init__(self, X: np.ndarray, groups: np.ndarray, y: np.ndarray):
+    def __init__(self, X: np.ndarray, groups: np.ndarray, y: np.ndarray,
+                 columns: Sequence[str] | None = None):
         self.n, self.p = X.shape
-        XtX = X.T @ X
-        eig = np.linalg.eigvalsh(XtX)
-        if eig[0] <= 1e-10 * max(eig[-1], 1e-300):
-            raise ConfigError("fixed-effect design is rank deficient")
+        self.columns = tuple(columns) if columns is not None else tuple(
+            f"x{i}" for i in range(self.p)
+        )
         # fit y - X b0 for the OLS b0: beta shifts by b0 and the objective is
-        # unchanged, but y'W^-1 y - beta'X'W^-1 y no longer cancels
-        self.b0 = np.linalg.solve(XtX, X.T @ y)
+        # unchanged, but y'W^-1 y - beta'X'W^-1 y no longer cancels. The OLS
+        # fit also rejects a rank-deficient X, naming its columns.
+        self.b0 = ols_fit(DesignMatrix(X=X, y=y, columns=self.columns)).beta
         A = np.column_stack([X, y - X @ self.b0])
         counts = np.bincount(groups).astype(float)
         sums = np.column_stack([np.bincount(groups, column) for column in A.T])
@@ -196,7 +190,7 @@ def reml_fit(
         raise ConfigError(f"groups must be non-negative, got {groups.min()}")
     if groups.max() < 1:
         raise DegenerateRandomDesign("groups must name at least one group: every code is 0")
-    work = _RemlWorkspace(X, groups.astype(np.intp), y)  # bincount refuses uint64
+    work = _RemlWorkspace(X, groups.astype(np.intp), y, columns)  # bincount refuses uint64
     evals = 0
 
     def unpack(log_gamma, atanh_rho=0.0):
@@ -244,7 +238,7 @@ def reml_fit(
     return MixedFit(
         beta=beta,
         cov=sigma2 * np.linalg.inv(XtWiX),
-        columns=tuple(columns) if columns is not None else tuple(f"x{i}" for i in range(work.p)),
+        columns=work.columns,
         df=df,
         sigma2=sigma2,
         sigma2_random=gamma * sigma2,

@@ -1,6 +1,8 @@
-"""Least-squares core: design assembly, QR-based OLS, t-tests.
+"""Least-squares core: design assembly, OLS by the normal equations, t-tests.
 
-scipy provides the pivoted QR factorization and the Student-t distribution.
+The fixed-effect estimators, the two-sample t-tests and REML's starting
+shift all solve least squares through :func:`ols_fit`; scipy provides the
+Student-t distribution.
 """
 from __future__ import annotations
 
@@ -9,13 +11,13 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import qr, solve_triangular
 from scipy.special import stdtr
 
 from .design import ConfigError, interval_indices
 from .spline import SplineBasis, basis_matrix
 
-RANK_TOL = 1e-10  # relative to the largest QR pivot
+RANK_TOL = 1e-10  # smallest eigenvalue of X'X relative to its largest
+_NULL_WEIGHT = 1e-6  # |entry| of a null eigenvector above which its column is named
 
 
 class RankDeficiencyError(ValueError):
@@ -111,27 +113,28 @@ def build_design(
 
 
 def ols_fit(dm: DesignMatrix) -> OlsFit:
-    """Least squares via column-pivoted QR, with rank-deficiency detection."""
+    """Least squares via the normal equations, with rank-deficiency detection.
+
+    X'X is rank deficient when its smallest eigenvalue is at most RANK_TOL
+    times its largest (cond(X) above ~1e5); the error names the columns that
+    carry weight in an eigenvector of such an eigenvalue.
+    """
     X, y = dm.X, dm.y
     n, p = X.shape
     if n <= p:
         raise ConfigError(f"need more observations than columns (n={n}, p={p})")
-    Q, R, piv = qr(X, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    if diag[0] == 0.0 or (diag < RANK_TOL * diag[0]).any():
-        bad = diag < RANK_TOL * max(diag[0], 1e-300)
-        raise RankDeficiencyError([dm.columns[i] for i in piv[bad]])
-    beta_piv = solve_triangular(R, Q.T @ y, lower=False)
-    beta = np.empty(p)
-    beta[piv] = beta_piv
+    XtX = X.T @ X
+    lam, V = np.linalg.eigh(XtX)
+    null = lam <= RANK_TOL * max(lam[-1], 1e-300)
+    if null.any():
+        weight = np.abs(V[:, null]).max(axis=1)
+        raise RankDeficiencyError([dm.columns[i] for i in np.flatnonzero(weight > _NULL_WEIGHT)])
+    beta = np.linalg.solve(XtX, X.T @ y)
     resid = y - X @ beta
     df = n - p
     sigma2 = float(resid @ resid) / df
-    r_inv = solve_triangular(R, np.eye(p), lower=False)
-    xtx_inv_piv = r_inv @ r_inv.T
-    xtx_inv = np.empty((p, p))
-    xtx_inv[np.ix_(piv, piv)] = xtx_inv_piv
-    return OlsFit(beta=beta, cov=sigma2 * xtx_inv, sigma2_hat=sigma2, df=df, columns=dm.columns)
+    return OlsFit(beta=beta, cov=sigma2 * (V / lam) @ V.T, sigma2_hat=sigma2, df=df,
+                  columns=dm.columns)
 
 
 def t_test(

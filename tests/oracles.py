@@ -3,9 +3,11 @@
 Each oracle deliberately takes a different algorithmic route than the
 package code it checks: naive recursion instead of the iterated basis
 build, numerical quadrature instead of the incomplete-beta evaluation,
-explicit normal equations instead of QR, a dense whitened QR fit instead
-of the group counts and sums, a patient-by-patient randomization loop
-instead of drawing the blocks between two events at once.
+column-pivoted QR instead of the normal equations, the closed-form
+pooled-variance t statistic instead of a regression on an arm indicator,
+a dense whitened QR fit instead of the group counts and sums, a
+patient-by-patient randomization loop instead of drawing the blocks
+between two events at once.
 """
 from __future__ import annotations
 
@@ -13,9 +15,9 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.linalg import solve_triangular
+from scipy.linalg import qr, solve_triangular
 
-from platformtrial.design import entry_times
+from platformtrial.design import ConfigError, entry_times
 
 
 def naive_bspline(x: float, k: int, i: int, t: np.ndarray) -> float:
@@ -62,6 +64,39 @@ def normal_equations_ols(X: np.ndarray, y: np.ndarray):
     return beta, sigma2 * np.linalg.inv(xtx), sigma2, df
 
 
+def qr_ols(X: np.ndarray, y: np.ndarray):
+    """(beta, cov, sigma2, df) via column-pivoted QR: R is never squared."""
+    n, p = X.shape
+    Q, R, piv = qr(X, mode="economic", pivoting=True)
+    beta = np.empty(p)
+    beta[piv] = solve_triangular(R, Q.T @ y, lower=False)
+    resid = y - X @ beta
+    df = n - p
+    sigma2 = float(resid @ resid) / df
+    r_inv = solve_triangular(R, np.eye(p), lower=False)
+    xtx_inv = np.empty((p, p))
+    xtx_inv[np.ix_(piv, piv)] = r_inv @ r_inv.T
+    return beta, sigma2 * xtx_inv, sigma2, df
+
+
+def two_sample_t(y_trt: np.ndarray, y_ctl: np.ndarray):
+    """(mean difference, standard error, df) of the pooled-variance two-sample t-test."""
+    n1, n0 = y_trt.size, y_ctl.size
+    ss1 = float(((y_trt - y_trt.mean()) ** 2).sum())
+    ss0 = float(((y_ctl - y_ctl.mean()) ** 2).sum())
+    df = n1 + n0 - 2
+    se = math.sqrt((ss1 + ss0) / df * (1.0 / n1 + 1.0 / n0))
+    return float(y_trt.mean() - y_ctl.mean()), se, df
+
+
+def ar1_correlation(m: int, rho: float) -> np.ndarray:
+    """AR(1) correlation matrix: entry (a, b) = rho^|a-b|."""
+    if not -1.0 < rho < 1.0:
+        raise ConfigError(f"AR(1) correlation must satisfy |rho| < 1, got {rho}")
+    idx = np.arange(m)
+    return rho ** np.abs(idx[:, None] - idx[None, :])
+
+
 def dense_reml_neg2ll(X, groups, y, gamma, rho=0.0) -> float:
     """Profiled REML objective from the dense n x n V = I + gamma Z R Z'.
 
@@ -74,8 +109,7 @@ def dense_reml_neg2ll(X, groups, y, gamma, rho=0.0) -> float:
     n, p = X.shape
     m = int(np.max(groups))
     Z = (np.asarray(groups)[:, None] == np.arange(1, m + 1)).astype(float)
-    idx = np.arange(m)
-    R = rho ** np.abs(idx[:, None] - idx[None, :]) if rho != 0.0 else np.eye(m)
+    R = ar1_correlation(m, rho)
     C = np.linalg.cholesky(np.eye(n) + gamma * Z @ R @ Z.T)
     Xw = solve_triangular(C, X, lower=True)
     y = y - X @ np.linalg.lstsq(X, y, rcond=None)[0]

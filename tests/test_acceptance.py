@@ -18,12 +18,12 @@ from platformtrial import (
     generate_trial,
     run_scenario,
 )
-from platformtrial.mixed_model import _RemlWorkspace, ar1_correlation, reml_fit
+from platformtrial.mixed_model import _RemlWorkspace, reml_fit
 from platformtrial.regression_engine import DesignMatrix, ols_fit, t_sf
 from platformtrial.simharness import GridSpec, rows_to_csv, run_grid
 from platformtrial.spline import SplineBasis, basis_matrix
 
-from oracles import naive_basis_row, normal_equations_ols, t_sf_quad
+from oracles import ar1_correlation, naive_basis_row, normal_equations_ols, qr_ols, t_sf_quad
 
 SEED = 20260808
 REPS = 2000
@@ -214,13 +214,14 @@ def test_criterion_09_trial_size_anchor():
 
 def test_criterion_10_oracle_suites():
     rng = np.random.default_rng(SEED)
-    # OLS vs normal equations, 1e-8
+    # OLS vs explicit normal equations and vs pivoted QR, 1e-8
     X = np.column_stack([np.ones(200), rng.normal(size=(200, 4))])
     y = rng.normal(size=200)
     fit = ols_fit(DesignMatrix(X=X, y=y, columns=tuple("abcde")))
-    beta_o, cov_o, _, _ = normal_equations_ols(X, y)
-    assert np.abs(fit.beta - beta_o).max() < 1e-8
-    assert np.abs(fit.cov - cov_o).max() < 1e-8
+    for oracle in (normal_equations_ols, qr_ols):
+        beta_o, cov_o, _, _ = oracle(X, y)
+        assert np.abs(fit.beta - beta_o).max() < 1e-8
+        assert np.abs(fit.cov - cov_o).max() < 1e-8
 
     # B-spline basis vs naive recursion 1e-12, partition of unity 1e-12
     inner = tuple(sorted(rng.uniform(5.0, 95.0, size=4)))

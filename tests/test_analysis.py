@@ -30,6 +30,8 @@ from platformtrial.design import ConfigError, TrialConfig
 from platformtrial.regression_engine import RankDeficiencyError
 from platformtrial.simharness import Scenario, run_scenario
 
+from oracles import two_sample_t
+
 
 def make_config(**kw):
     base = dict(K=4, d=250, n=250, eta0=0.0, theta=(0.25,) * 4, sigma=1.0, M=3)
@@ -45,11 +47,11 @@ def separate(ds, m):
     return fit(ds, m, ModelSpec("separate"))
 
 
-def manual_dataset(arm, y):
+def manual_dataset(arm, y, t=None):
     arm = np.asarray(arm, dtype=np.int64)
     y = np.asarray(y, dtype=float)
     j = np.arange(1, arm.size + 1, dtype=np.int64)
-    t = j.astype(float)
+    t = j.astype(float) if t is None else np.asarray(t, dtype=float)
     return TrialDataset(j=j, arm=arm, t=t, y=y, timeline=empirical_timeline(arm, t))
 
 
@@ -112,6 +114,15 @@ class TestTwoSampleBaselines:
         assert r.t == 0.0
         assert r.p_one == 0.5
 
+    @pytest.mark.parametrize("name", ["pooled", "separate"])
+    @pytest.mark.parametrize("level", [0.1, 3.7, 1e3])
+    def test_constant_groups_degenerate(self, name, level):
+        # a regression leaves a rounding-level residual here, not an exact zero
+        for arm in (np.array([0, 1] * 10), np.array([0, 0, 1] * 7)):
+            ds = manual_dataset(arm, np.where(arm == 1, level, 2.0 * level))
+            with pytest.raises(ConfigError, match="degenerate"):
+                fit(ds, 1, ModelSpec(name))
+
     def test_empty_controls_error(self):
         arm = np.array([1, 1, 1, 1])
         with pytest.raises(ConfigError):
@@ -152,6 +163,63 @@ class TestTwoSampleBaselines:
             assert r.theta_hat == pytest.approx(
                 sl.y[sl.arm == m].mean() - sl.y[controls].mean(), abs=1e-12
             )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    K=st.integers(min_value=2, max_value=6),
+    d=st.integers(min_value=0, max_value=300),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    data=st.data(),
+)
+def test_t_tests_match_closed_form_oracle(K, d, seed, data):
+    cfg = TrialConfig(K=K, d=d, n=30, eta0=0.0, theta=(0.3,) * K, sigma=1.0, M=K)
+    trend = TrendSpec("linear", tuple(0.2 * k for k in range(K + 1)))
+    ds = generate_trial(cfg, trend, "alternative", seed=seed)
+    m = data.draw(st.integers(min_value=1, max_value=K), label="m")
+    sl = slice_for_arm(ds, m)
+    for name in ("pooled", "separate"):
+        r = fit(sl, m, ModelSpec(name))
+        controls = sl.arm == 0
+        if name == "separate":
+            controls &= sl.t >= ds.timeline.entry[m - 1]
+        estimate, se, df = two_sample_t(sl.y[sl.arm == m], sl.y[controls])
+        assert r.theta_hat == pytest.approx(estimate, rel=1e-12, abs=1e-12), name
+        assert r.se == pytest.approx(se, rel=1e-12), name
+        assert r.t == pytest.approx(estimate / se, rel=1e-12, abs=1e-12), name
+        assert r.diagnostics["df"] == df, name
+        assert r.diagnostics["n_controls"] == int(controls.sum()), name
+
+
+class TestRankDeficiency:
+    """Imported data whose design has an empty calendar interval or a
+    treatment indicator equal to an interval indicator."""
+
+    @staticmethod
+    def gap_dataset():
+        # no record in [21, 41): calendar intervals 3 and 4 (c_length 10) are empty
+        t = np.r_[np.arange(1.0, 21.0), np.arange(41.0, 61.0)]
+        arm = np.tile([0, 2, 0, 1], 10)
+        return manual_dataset(arm, np.random.default_rng(11).normal(size=40), t)
+
+    @staticmethod
+    def duplicate_dataset():
+        # arm 2 holds every record of [11, 21) and no other: trt2 == cal2
+        t = np.arange(1.0, 41.0)
+        arm = np.tile([0, 1], 20)
+        arm[10:20] = 2
+        return manual_dataset(arm, np.random.default_rng(12).normal(size=40), t)
+
+    @pytest.mark.parametrize("estimator", ["fixed_calendar", "mixedint_calendar"])
+    @pytest.mark.parametrize("dataset, involved", [
+        ("gap_dataset", ["cal3", "cal4"]),
+        ("duplicate_dataset", ["trt2", "cal2"]),
+    ], ids=["empty_interval", "duplicated_column"])
+    def test_fit_names_exactly_the_columns_involved(self, estimator, dataset, involved):
+        ds = getattr(self, dataset)()
+        with pytest.raises(RankDeficiencyError) as exc:
+            fit(ds, 1, ModelSpec(estimator, c_length=10))
+        assert exc.value.columns == involved
 
 
 class TestFitDispatch:

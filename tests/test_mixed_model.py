@@ -11,13 +11,12 @@ from platformtrial.design import ConfigError
 from platformtrial.mixed_model import (
     DegenerateRandomDesign,
     _RemlWorkspace,
-    ar1_correlation,
     build_random_design,
     reml_fit,
 )
-from platformtrial.regression_engine import DesignMatrix, ols_fit, wald_test
+from platformtrial.regression_engine import DesignMatrix, RankDeficiencyError, ols_fit, wald_test
 
-from oracles import dense_reml_neg2ll
+from oracles import ar1_correlation, dense_reml_neg2ll
 
 
 def one_way_instance(g=8, m_per=12, sd_u=0.7, seed=42):
@@ -221,8 +220,20 @@ class TestRemlFit:
     def test_rank_deficient_fixed_design_rejected(self):
         X = np.ones((30, 2))
         groups = np.random.default_rng(0).integers(0, 3, 30) + 1
-        with pytest.raises(ConfigError, match="rank"):
+        with pytest.raises(RankDeficiencyError) as exc:
             reml_fit(X, groups, np.zeros(30))
+        assert exc.value.columns == ["x0", "x1"]
+
+    @pytest.mark.parametrize("extra, columns, involved", [
+        (np.zeros(60), ("intercept", "x1", "x2", "zero"), ["zero"]),
+        (None, ("intercept", "x1", "x2", "x1_again"), ["x1", "x1_again"]),
+    ], ids=["zero_column", "duplicated_column"])
+    def test_rank_error_names_exactly_the_columns_involved(self, extra, columns, involved):
+        X, groups, y = small_ar1_instance(n=60, m=3)
+        X = np.column_stack([X, X[:, 1] if extra is None else extra])
+        with pytest.raises(RankDeficiencyError) as exc:
+            reml_fit(X, groups, y, columns=columns)
+        assert exc.value.columns == involved
 
 
     @pytest.mark.parametrize("groups, problem", [

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from platformtrial.design import ConfigError
 from platformtrial.regression_engine import (
@@ -14,7 +16,7 @@ from platformtrial.regression_engine import (
     wald_test,
 )
 
-from oracles import normal_equations_ols, t_sf_quad
+from oracles import normal_equations_ols, qr_ols, t_sf_quad
 
 
 class TestStudentT:
@@ -85,9 +87,73 @@ class TestOlsFit:
             ols_fit(DesignMatrix(X=X, y=rng.normal(size=60), columns=("intercept", "a", "dup")))
         assert len(exc.value.columns) >= 1
 
+    @pytest.mark.parametrize("X_of, columns, involved", [
+        (lambda a, b: np.column_stack([np.ones(a.size), a, np.zeros(a.size), b]),
+         ("intercept", "a", "zero", "b"), ["zero"]),
+        (lambda a, b: np.column_stack([np.ones(a.size), a, b, a]),
+         ("intercept", "a", "b", "a_again"), ["a", "a_again"]),
+    ], ids=["zero_column", "duplicated_column"])
+    def test_rank_error_names_exactly_the_columns_involved(self, X_of, columns, involved):
+        rng = np.random.default_rng(6)
+        X = X_of(rng.normal(size=50), rng.normal(size=50))
+        with pytest.raises(RankDeficiencyError) as exc:
+            ols_fit(DesignMatrix(X=X, y=rng.normal(size=50), columns=columns))
+        assert exc.value.columns == involved
+
     def test_more_columns_than_rows(self):
         with pytest.raises(ConfigError):
             ols_fit(DesignMatrix(X=np.ones((3, 3)), y=np.zeros(3), columns=("a", "b", "c")))
+
+
+def assert_matches_qr_oracle(X, y):
+    fit = ols_fit(DesignMatrix(X=X, y=y, columns=tuple(f"x{i}" for i in range(X.shape[1]))))
+    beta_o, cov_o, sigma2_o, df_o = qr_ols(X, y)
+    # relative to the largest entry: a coefficient near zero has no relative scale
+    assert np.abs(fit.beta - beta_o).max() <= 1e-10 * np.abs(beta_o).max()
+    assert np.abs(fit.cov - cov_o).max() <= 1e-10 * np.abs(cov_o).max()
+    assert fit.sigma2_hat == pytest.approx(sigma2_o, rel=1e-10)
+    assert fit.df == df_o
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    p=st.integers(min_value=1, max_value=10),
+    extra=st.integers(min_value=10, max_value=300),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    log10_scale=st.floats(min_value=-2.0, max_value=2.0),
+)
+def test_ols_matches_pivoted_qr_on_gaussian_designs(p, extra, seed, log10_scale):
+    # cond(X) up to ~200; the designs the estimators build stay below ~100,
+    # and the normal equations lose accuracy as cond(X) squared
+    rng = np.random.default_rng(seed)
+    n = p + extra
+    X = np.column_stack([np.ones(n), 10.0**log10_scale * rng.normal(size=(n, p - 1))])
+    y = X @ rng.normal(size=p) + rng.normal(size=n)
+    assert_matches_qr_oracle(X, y)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    K=st.integers(min_value=1, max_value=5),
+    n=st.integers(min_value=20, max_value=400),
+    n_starts=st.integers(min_value=0, max_value=8),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_ols_matches_pivoted_qr_on_indicator_designs(K, n, n_starts, seed):
+    # intercept, arm and interval indicators; the last interval holds only
+    # the final record
+    rng = np.random.default_rng(seed)
+    times = np.arange(1.0, n + 1.0)
+    arms = rng.integers(0, K + 1, n)
+    arms[: K + 1] = np.arange(K + 1)
+    inner = rng.choice(np.arange(2, n), size=min(n_starts, n - 2), replace=False)
+    starts = (1.0, *sorted(float(s) for s in inner), float(n))
+    y = 0.3 * arms + 0.01 * times + rng.normal(size=n)
+    dm = build_design(times, arms, y, treatments=range(1, K + 1), adjustment="period",
+                      starts=starts, horizon=float(n))
+    assert dm.X[:, -1].sum() == 1.0
+    assume(np.linalg.matrix_rank(dm.X) == dm.X.shape[1])
+    assert_matches_qr_oracle(dm.X, dm.y)
 
 
 class TestBuildDesign:
