@@ -5,10 +5,11 @@ treatment-by-interval interactions put each record in at most one group,
 so the random design is a group code per record and a fit needs only group
 statistics. The restricted likelihood is profiled down to gamma =
 sigma2_random / sigma2 (log scale) and, for AR(1), rho (atanh scale). An
-evaluation is elementwise in the groups, after one m x m eigh for AR(1).
-The independent structure has gamma alone, so a scan on log gamma brackets
-the optimum and a bounded scalar search refines it; AR(1) starts Nelder-Mead
-from a scan over (log gamma, atanh rho).
+evaluation is one Cholesky factorization of [X y]'W^-1 [X y], formed
+elementwise in the groups after one m x m eigh for AR(1). The independent
+structure has gamma alone, so a scan on log gamma brackets the optimum and a
+bounded scalar search refines it; AR(1) starts Nelder-Mead from a scan over
+(log gamma, atanh rho).
 """
 from __future__ import annotations
 
@@ -123,10 +124,13 @@ class _RemlWorkspace:
         self.T = means[1:][kept] * np.sqrt(self.d)[:, None]
 
     def evaluate(self, gamma: float, rho: float, structure: str):
-        """(-2 log restricted likelihood, beta, X'W^-1 X, sigma2) for W = I + gamma Z R Z'.
+        """(-2 log restricted likelihood, L) for W = I + gamma Z R Z'.
 
-        Elementwise in gamma in the eigenbasis of H (lam = d when independent).
-        -2 REML omits (n-p)log(2pi) and is _PENALTY where X'W^-1 X is not PD.
+        A'W^-1 A is formed elementwise in gamma in the eigenbasis of H (lam = d
+        when independent) and L is its lower Cholesky factor: L11 factors X'W^-1 X,
+        the last row (l21', l22) gives beta = b0 + L11^-T l21, and l22^2 is the
+        residual sum of squares. -2 REML omits (n-p)log(2pi). A non-PD A'W^-1 A,
+        which includes a zero residual, raises LinAlgError.
         """
         if structure == "ar1":
             lam, Q = np.linalg.eigh(rho**self.lags * self.sqrt_dd)
@@ -136,15 +140,11 @@ class _RemlWorkspace:
         w = 1.0 + gamma * lam
         if w.min() <= 0.0:  # rounding in eigh at |rho| -> 1
             raise np.linalg.LinAlgError("I + gamma H is not positive definite")
-        AtWiA = self.within + (T.T / w) @ T
-        XtWiX, XtWiy, ytWiy = AtWiA[:-1, :-1], AtWiA[:-1, -1], AtWiA[-1, -1]
-        logdet_w = float(np.log(w).sum())
-        sign, logdet_x = np.linalg.slogdet(XtWiX)
-        beta = np.linalg.solve(XtWiX, XtWiy)
+        L = np.linalg.cholesky(self.within + (T.T / w) @ T)
         df = self.n - self.p
-        sigma2 = max((ytWiy - float(beta @ XtWiy)) / df, 1e-300)
-        neg2 = df * math.log(sigma2) + logdet_w + logdet_x + df if sign > 0 else _PENALTY
-        return neg2, self.b0 + beta, XtWiX, sigma2
+        sigma2 = L[-1, -1] ** 2 / df
+        logdet_x = 2.0 * float(np.log(np.diag(L)[:-1]).sum())
+        return df * math.log(sigma2) + float(np.log(w).sum()) + logdet_x + df, L
 
     def neg2ll(self, gamma: float, rho: float, structure: str) -> float:
         """The REML objective: -2 REML, or _PENALTY where it cannot be evaluated."""
@@ -180,8 +180,6 @@ def reml_fit(
         raise ConfigError(f"unknown covariance structure {cov_structure!r}")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if X.shape[0] <= X.shape[1]:
-        raise ConfigError("need more observations than fixed-effect columns")
     groups = np.asarray(groups)
     if groups.shape != (X.shape[0],) or not np.issubdtype(groups.dtype, np.integer):
         raise ConfigError(f"groups must be a 1-D integer array of length {X.shape[0]}, "
@@ -233,11 +231,12 @@ def reml_fit(
             if res.fun < values[i]:  # never fall behind the scan
                 best = (res.x,)
     gamma, rho = unpack(*best)
-    neg2, beta, XtWiX, sigma2 = work.evaluate(gamma, rho, cov_structure)
-    df = work.n - work.p
+    neg2, L = work.evaluate(gamma, rho, cov_structure)
+    df, L11_inv = work.n - work.p, np.linalg.inv(L[:-1, :-1])
+    sigma2 = L[-1, -1] ** 2 / df
     return MixedFit(
-        beta=beta,
-        cov=sigma2 * np.linalg.inv(XtWiX),
+        beta=work.b0 + L11_inv.T @ L[-1, :-1],
+        cov=sigma2 * (L11_inv.T @ L11_inv),
         columns=work.columns,
         df=df,
         sigma2=sigma2,

@@ -97,20 +97,27 @@ def ar1_correlation(m: int, rho: float) -> np.ndarray:
     return rho ** np.abs(idx[:, None] - idx[None, :])
 
 
-def dense_reml_neg2ll(X, groups, y, gamma, rho=0.0) -> float:
-    """Profiled REML objective from the dense n x n V = I + gamma Z R Z'.
+def dense_v_cholesky(groups, gamma, rho=0.0) -> np.ndarray:
+    """Lower Cholesky factor of the dense n x n V = I + gamma Z R Z'.
 
     Column g-1 of Z indicates the records with group code g (0 = none).
+    """
+    groups = np.asarray(groups)
+    m = int(np.max(groups))
+    Z = (groups[:, None] == np.arange(1, m + 1)).astype(float)
+    return np.linalg.cholesky(np.eye(groups.size) + gamma * Z @ ar1_correlation(m, rho) @ Z.T)
+
+
+def dense_reml_neg2ll(X, groups, y, gamma, rho=0.0) -> float:
+    """Profiled REML objective from the dense V of :func:`dense_v_cholesky`.
+
     The model is whitened by the Cholesky factor of V and then fitted by QR,
     so no cross-product is formed. y is first replaced by its least-squares
     residual on X, which leaves the profiled objective unchanged and keeps
     a large mean from swamping the whitened residual.
     """
     n, p = X.shape
-    m = int(np.max(groups))
-    Z = (np.asarray(groups)[:, None] == np.arange(1, m + 1)).astype(float)
-    R = ar1_correlation(m, rho)
-    C = np.linalg.cholesky(np.eye(n) + gamma * Z @ R @ Z.T)
+    C = dense_v_cholesky(groups, gamma, rho)
     Xw = solve_triangular(C, X, lower=True)
     y = y - X @ np.linalg.lstsq(X, y, rcond=None)[0]
     yw = solve_triangular(C, y, lower=True)
@@ -123,6 +130,24 @@ def dense_reml_neg2ll(X, groups, y, gamma, rho=0.0) -> float:
         + 2.0 * np.log(np.abs(np.diag(Rq))).sum()
         + (n - p)
     )
+
+
+def dense_gls(X, groups, y, gamma, rho=0.0):
+    """(beta, cov, sigma2) of generalized least squares under the dense V.
+
+    Whitened by the Cholesky factor of V, as in :func:`dense_reml_neg2ll`,
+    and solved by QR: cov = sigma2 (X'V^-1 X)^-1 = sigma2 R^-1 R^-T.
+    """
+    n, p = X.shape
+    C = dense_v_cholesky(groups, gamma, rho)
+    Xw = solve_triangular(C, X, lower=True)
+    yw = solve_triangular(C, y, lower=True)
+    Q, Rq = np.linalg.qr(Xw)
+    beta = solve_triangular(Rq, Q.T @ yw, lower=False)
+    r = yw - Xw @ beta
+    sigma2 = float(r @ r) / (n - p)
+    r_inv = solve_triangular(Rq, np.eye(p), lower=False)
+    return beta, sigma2 * r_inv @ r_inv.T, sigma2
 
 
 def block_randomize(active_arms, rng: np.random.Generator):

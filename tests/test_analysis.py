@@ -243,6 +243,15 @@ class TestFitDispatch:
             r = fit(sl, 3, spec)
             assert r.theta_hat == pytest.approx(0.25, abs=1e-6), spec.label
 
+    @pytest.mark.parametrize("estimator", ["mixed_period", "mixed_calendar",
+                                           "mixed_period_ar1", "mixed_calendar_ar1"])
+    def test_exact_fit_fails_in_mixed_estimators(self, estimator):
+        # the fixed effects reproduce the response: the residual and sigma2 are zero
+        arm = np.array([0, 1] * 10)
+        ds = manual_dataset(arm, np.where(arm == 1, 3.7, 7.4))
+        with pytest.raises(np.linalg.LinAlgError):
+            fit(ds, 1, ModelSpec(estimator, c_length=5))
+
     def test_unsliced_dataset_rejected(self):
         ds = generate_trial(make_config(M=1), TrendSpec.none(4), "null", seed=6)
         with pytest.raises(ConfigError, match="slice_for_arm"):

@@ -16,7 +16,7 @@ from platformtrial.mixed_model import (
 )
 from platformtrial.regression_engine import DesignMatrix, RankDeficiencyError, ols_fit, wald_test
 
-from oracles import ar1_correlation, dense_reml_neg2ll
+from oracles import ar1_correlation, dense_gls, dense_reml_neg2ll
 
 
 def one_way_instance(g=8, m_per=12, sd_u=0.7, seed=42):
@@ -236,6 +236,12 @@ class TestRemlFit:
         assert exc.value.columns == involved
 
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_too_few_observations_rejected(self, n):
+        X = np.column_stack([np.ones(n), np.arange(n), np.arange(n) ** 2.0])
+        with pytest.raises(ConfigError, match="need more observations"):
+            reml_fit(X, np.ones(n, dtype=int), np.arange(n, dtype=float))
+
     @pytest.mark.parametrize("groups, problem", [
         (np.ones((30, 1), dtype=int), "1-D integer array of length 30, got int64 of shape"),
         (np.ones(29, dtype=int), r"1-D integer array of length 30, got int64 of shape \(29,\)"),
@@ -319,6 +325,36 @@ def test_independent_fit_no_worse_than_scan_or_fine_grid_over_its_bracket(n, p, 
     i = int(np.argmin(values))
     bracket = np.linspace(scan[max(i - 1, 0)], scan[min(i + 1, len(scan) - 1)], 2001)
     assert ours <= min(objective(lg) for lg in bracket) + 1e-8
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(min_value=6, max_value=60),
+    p=st.integers(min_value=1, max_value=3),
+    m=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    sd_u=st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=30.0)),
+    structure=st.sampled_from(["independent", "ar1"]),
+)
+def test_fit_coefficients_match_dense_gls_at_own_estimate(n, p, m, seed, sd_u, structure):
+    # the identifiable designs of the bracket test above; beta, cov and sigma2
+    # at the fit's own gamma and rho against a dense whitened QR fit. Limited
+    # to gamma <= 1e4: beyond it the dense Cholesky of V = I + gamma Z R Z'
+    # loses accuracy, and the oracle with it.
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
+    groups = rng.integers(0, m + 1, n)
+    groups[0] = m
+    Z = (groups[:, None] == np.arange(1, m + 1)).astype(float)
+    assume(p < np.linalg.matrix_rank(np.column_stack([X, Z])) < n)
+    u = np.r_[0.0, sd_u * rng.normal(size=m)]
+    y = X @ rng.normal(size=p) + u[groups] + rng.normal(size=n)
+    fit = reml_fit(X, groups, y, cov_structure=structure)
+    gamma = fit.sigma2_random / fit.sigma2
+    assume(gamma <= 1e4)
+    beta, cov, sigma2 = dense_gls(X, groups, y, gamma, fit.rho or 0.0)
+    for ours, ref in ((fit.beta, beta), (fit.cov, cov), (fit.sigma2, sigma2)):
+        assert np.abs(ours - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 class TestMixedWald:
