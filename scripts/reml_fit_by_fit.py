@@ -131,16 +131,14 @@ def main(argv=None) -> int:
     ap.add_argument("config", help="grid config JSON")
     ap.add_argument("--reps", type=int, default=None, help="override replicates per cell")
     ap.add_argument("--seed", type=int, default=None, help="override the root seed")
-    ap.add_argument("--change", type=Path, default=ROOT,
-                    help="root of the changed source tree (default: this checkout)")
     args = ap.parse_args(argv)
-    parent, change = args.parent.resolve(), args.change.resolve()
+    parent = args.parent.resolve()
     with tempfile.TemporaryDirectory() as tmp:
         fits, res_parent, res_change = (os.path.join(tmp, f) for f in ("fits", "parent", "change"))
         overrides = ("" if v is None else str(v) for v in (args.reps, args.seed))
         run_stage(parent, "capture", os.path.abspath(args.config), *overrides, fits)
         run_stage(parent, "refit", fits, res_parent)
-        run_stage(change, "refit", fits, res_change)
+        run_stage(ROOT, "refit", fits, res_change)
         run_stage(parent, "score", fits, res_parent, res_change)
     return 0
 

@@ -124,13 +124,14 @@ class _RemlWorkspace:
         self.T = means[1:][kept] * np.sqrt(self.d)[:, None]
 
     def evaluate(self, gamma: float, rho: float, structure: str):
-        """(-2 log restricted likelihood, L) for W = I + gamma Z R Z'.
+        """(-2 log restricted likelihood, L, sigma2) for W = I + gamma Z R Z'.
 
         A'W^-1 A is formed elementwise in gamma in the eigenbasis of H (lam = d
         when independent) and L is its lower Cholesky factor: L11 factors X'W^-1 X,
         the last row (l21', l22) gives beta = b0 + L11^-T l21, and l22^2 is the
-        residual sum of squares. -2 REML omits (n-p)log(2pi). A non-PD A'W^-1 A,
-        which includes a zero residual, raises LinAlgError.
+        residual sum of squares, so sigma2 = l22^2 / (n - p). -2 REML omits
+        (n-p)log(2pi). A non-PD A'W^-1 A, which includes a zero residual, raises
+        LinAlgError.
         """
         if structure == "ar1":
             lam, Q = np.linalg.eigh(rho**self.lags * self.sqrt_dd)
@@ -144,7 +145,7 @@ class _RemlWorkspace:
         df = self.n - self.p
         sigma2 = L[-1, -1] ** 2 / df
         logdet_x = 2.0 * float(np.log(np.diag(L)[:-1]).sum())
-        return df * math.log(sigma2) + float(np.log(w).sum()) + logdet_x + df, L
+        return df * math.log(sigma2) + float(np.log(w).sum()) + logdet_x + df, L, sigma2
 
     def neg2ll(self, gamma: float, rho: float, structure: str) -> float:
         """The REML objective: -2 REML, or _PENALTY where it cannot be evaluated."""
@@ -231,9 +232,8 @@ def reml_fit(
             if res.fun < values[i]:  # never fall behind the scan
                 best = (res.x,)
     gamma, rho = unpack(*best)
-    neg2, L = work.evaluate(gamma, rho, cov_structure)
+    neg2, L, sigma2 = work.evaluate(gamma, rho, cov_structure)
     df, L11_inv = work.n - work.p, np.linalg.inv(L[:-1, :-1])
-    sigma2 = L[-1, -1] ** 2 / df
     return MixedFit(
         beta=work.b0 + L11_inv.T @ L[-1, :-1],
         cov=sigma2 * (L11_inv.T @ L11_inv),
