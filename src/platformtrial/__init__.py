@@ -1,6 +1,6 @@
 """Platform-trial simulation and time-adjusted analysis with shared controls."""
 
-from .analysis import ESTIMATORS, FitResult, ModelSpec, default_model_set, fit
+from .analysis import ESTIMATORS, AnalysisSet, FitResult, ModelSpec, default_model_set, fit, prepare
 from .datagen import (
     TrendSpec,
     TrialDataset,
@@ -26,6 +26,7 @@ from .spline import SplineBasis, basis_matrix, knots_at
 __version__ = "0.1.0"
 
 __all__ = [
+    "AnalysisSet",
     "ConfigError",
     "ESTIMATORS",
     "FitResult",
@@ -51,6 +52,7 @@ __all__ = [
     "generate_trial",
     "knots_at",
     "ols_fit",
+    "prepare",
     "read_csv",
     "reml_fit",
     "run_grid",

@@ -5,13 +5,14 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from . import mixed_model, spline
 from .datagen import TrialDataset
-from .design import ConfigError, derive_calendar, derive_periods
+from .design import ConfigError, TrialTimeline, derive_calendar, derive_periods
 from .regression_engine import build_design, ols_fit, wald_test
 
 
@@ -114,7 +115,15 @@ def default_model_set(c_length: float, spline_degree: int = 3, **opts) -> tuple[
 
 
 @dataclass(frozen=True)
-class _Prepared:
+class AnalysisSet:
+    """The analysis set of arm m, checked once and ready for every estimator.
+
+    Built by :func:`prepare`. Its arrays are read-only views, so one set can
+    serve every fit of a replicate, and every grid cell that shares the data,
+    without a fit being able to change it for the next.
+    """
+
+    m: int
     t: np.ndarray
     arm: np.ndarray
     y: np.ndarray
@@ -122,9 +131,27 @@ class _Prepared:
     origin: float
     treatments: tuple[int, ...]
     m_entry: float
+    timeline: TrialTimeline
+
+    @cached_property
+    def period_starts(self) -> tuple[float, ...]:
+        """Period starts at the horizon, derived when a period estimator first asks."""
+        tl = self.timeline
+        return derive_periods(tl.entry, tl.exit, self.horizon, origin=self.origin)
 
 
-def _prepare(dataset: TrialDataset, m: int) -> _Prepared:
+def _read_only(values, dtype=None) -> np.ndarray:
+    view = np.asarray(values, dtype=dtype).view()  # the caller's array stays writable
+    view.flags.writeable = False
+    return view
+
+
+def prepare(dataset: TrialDataset, m: int) -> AnalysisSet:
+    """Check the analysis set of arm m and derive what every estimator reads.
+
+    Raises ``ConfigError`` unless the set holds arm m's records and nothing
+    after its exit, as :func:`datagen.slice_for_arm` leaves it.
+    """
     if m < 1:
         raise ConfigError("the evaluated arm must be an experimental arm (>= 1)")
     in_arm = dataset.arm == m
@@ -140,21 +167,32 @@ def _prepare(dataset: TrialDataset, m: int) -> _Prepared:
     m_entry = tl.entry[m - 1] if tl is not None and m <= len(tl.entry) else float(
         dataset.t[in_arm].min()
     )
-    return _Prepared(
-        t=np.asarray(dataset.t, dtype=float),
-        arm=np.asarray(dataset.arm),
-        y=np.asarray(dataset.y, dtype=float),
+    return AnalysisSet(
+        m=m,
+        t=_read_only(dataset.t, dtype=float),
+        arm=_read_only(dataset.arm),
+        y=_read_only(dataset.y, dtype=float),
         horizon=horizon,
         origin=float(dataset.t.min()),
         treatments=treatments,
         m_entry=float(m_entry),
+        timeline=tl,
     )
 
 
-def fit(dataset: TrialDataset, m: int, spec: ModelSpec) -> FitResult:
-    """Fit one estimator to the analysis set of arm m."""
+def fit(data: TrialDataset | AnalysisSet, m: int, spec: ModelSpec) -> FitResult:
+    """Fit one estimator to the analysis set of arm m.
+
+    ``data`` is the analysis set as a dataset, or as :func:`prepare` made it
+    for arm m; the result is the same.
+    """
     kind = spec.kind
-    prep = _prepare(dataset, m)
+    if isinstance(data, AnalysisSet):
+        if data.m != m:
+            raise ConfigError(f"analysis set prepared for arm {data.m}, not for arm {m}")
+        prep = data
+    else:
+        prep = prepare(data, m)
     if kind.timescale is None:
         # regress on arm m's records and all (pooled) or the concurrent
         # (separate) controls, those randomized from arm m's entry on
@@ -175,8 +213,7 @@ def fit(dataset: TrialDataset, m: int, spec: ModelSpec) -> FitResult:
         diag.update(n_treatment=int(in_arm.sum()), n_controls=int(controls.sum()))
     else:
         if kind.timescale == "period":
-            tl = dataset.timeline
-            starts = derive_periods(tl.entry, tl.exit, prep.horizon, origin=prep.origin)
+            starts = prep.period_starts
         else:
             starts = derive_calendar(prep.horizon, spec.c_length, start=prep.origin)
         diag = {"n_intervals": len(starts)}

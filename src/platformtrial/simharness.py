@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import blas
-from .analysis import FitResult, ModelSpec, fit
+from .analysis import AnalysisSet, FitResult, ModelSpec, fit, prepare
 from .datagen import TrendSpec, generate_trial, slice_for_arm
 from .design import ConfigError, TrialConfig
 
@@ -108,16 +108,29 @@ def replicate_seed(scenario: Scenario, index: int) -> np.random.SeedSequence:
     )
 
 
-def run_replicate(scenario: Scenario, index: int) -> list[tuple[str, bool, bool, float]]:
-    """One replicate: (estimator label, failed, reject, theta_hat) per estimator."""
-    dataset = generate_trial(
-        scenario.config, scenario.trend, scenario.hypothesis, seed=replicate_seed(scenario, index)
-    )
-    analysis_set = slice_for_arm(dataset, scenario.config.M)
+def run_replicate(
+    scenario: Scenario, index: int, _shared: dict[int, AnalysisSet] | None = None
+) -> list[tuple[str, bool, bool, float]]:
+    """One replicate: (estimator label, failed, reject, theta_hat) per estimator.
+
+    ``_shared`` maps replicate indices to analysis sets that cells with this
+    scenario's data key have already made; a missing one is made and added.
+    """
+    M = scenario.config.M
+    analysis_set = None if _shared is None else _shared.get(index)
+    if analysis_set is None:
+        dataset = generate_trial(
+            scenario.config, scenario.trend, scenario.hypothesis, seed=replicate_seed(scenario, index)
+        )
+        # slice_for_arm leaves arm M's records up to its exit, so none of
+        # prepare's ConfigErrors can fire here
+        analysis_set = prepare(slice_for_arm(dataset, M), M)
+        if _shared is not None:
+            _shared[index] = analysis_set
     out = []
     for spec in scenario.estimators:
         try:
-            r: FitResult = fit(analysis_set, scenario.config.M, spec)
+            r: FitResult = fit(analysis_set, M, spec)
             failed = not bool(r.diagnostics.get("converged", True))
             out.append((spec.label, failed, bool(r.reject), float(r.theta_hat)))
         except Exception:  # rank deficiency etc.: recorded, never fatal
@@ -130,13 +143,16 @@ def _run_chunk(scenario: Scenario, indices: Sequence[int]):
         return [run_replicate(scenario, i) for i in indices]
 
 
-def run_scenario(scenario: Scenario, threads: int = 1) -> OperatingCharacteristics:
+def run_scenario(
+    scenario: Scenario, threads: int = 1, _shared: dict[int, AnalysisSet] | None = None
+) -> OperatingCharacteristics:
     """Estimate rejection rate, estimate moments, and failure counts per estimator.
 
     Failed replicates (non-convergence or fit errors) are excluded from the
     rates and reported in ``failures``. Replicates run with every OpenBLAS at
     one thread; ``threads`` worker processes (at most one per replicate) run
-    them in parallel.
+    them in parallel. Replicates run in this process read and fill
+    ``_shared`` (see ``run_replicate``).
     """
     indices = list(range(scenario.replicates))
     workers = min(threads, scenario.replicates)
@@ -150,7 +166,7 @@ def run_scenario(scenario: Scenario, threads: int = 1) -> OperatingCharacteristi
                 for i, res in zip(chunk, results):
                     per_rep[i] = res
         else:
-            per_rep = [run_replicate(scenario, i) for i in indices]
+            per_rep = [run_replicate(scenario, i, _shared) for i in indices]
 
     labels = [spec.label for spec in scenario.estimators]
     per_estimator: dict[str, EstimatorStats] = {}
@@ -266,29 +282,38 @@ def run_grid(grid: GridSpec, threads: int = 1) -> list[dict]:
     The BLAS thread counts are set once for the whole grid: restoring them
     between cells would restart OpenBLAS threads that the next pool's fork
     stops again.
+
+    Consecutive cells with the same data key (the c_length axis) simulate the
+    same datasets. At one worker they share each replicate's analysis set:
+    the group's first cell makes it, the others read it, and the sets are
+    dropped when the group ends.
     """
     rows = []
     with blas.single_thread():
-        for lam, c_length, scenario in grid._cells_with_axes():
-            oc = run_scenario(scenario, threads=threads)
-            for spec in scenario.estimators:
-                st = oc.per_estimator[spec.label]
-                rows.append({
-                    "setting": grid.setting,
-                    "pattern": scenario.trend.pattern,
-                    "lambda": lam,
-                    "d": scenario.config.d,
-                    "c_length": c_length,
-                    "estimator": st.estimator,
-                    "hypothesis": scenario.hypothesis,
-                    "reps": st.reps,
-                    "reject_rate": st.reject_rate,
-                    "mc_se": st.mc_se,
-                    "mean_est": st.mean_est,
-                    "emp_se": st.emp_se,
-                    "bias": st.bias,
-                    "failures": st.failures,
-                })
+        groups = itertools.groupby(grid._cells_with_axes(), key=lambda c: scenario_data_key(c[2]))
+        for _, group in groups:
+            group = list(group)
+            shared = {} if threads <= 1 and len(group) > 1 else None
+            for lam, c_length, scenario in group:
+                oc = run_scenario(scenario, threads, shared)
+                for spec in scenario.estimators:
+                    st = oc.per_estimator[spec.label]
+                    rows.append({
+                        "setting": grid.setting,
+                        "pattern": scenario.trend.pattern,
+                        "lambda": lam,
+                        "d": scenario.config.d,
+                        "c_length": c_length,
+                        "estimator": st.estimator,
+                        "hypothesis": scenario.hypothesis,
+                        "reps": st.reps,
+                        "reject_rate": st.reject_rate,
+                        "mc_se": st.mc_se,
+                        "mean_est": st.mean_est,
+                        "emp_se": st.emp_se,
+                        "bias": st.bias,
+                        "failures": st.failures,
+                    })
     return rows
 
 

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from platformtrial.analysis import (
     ESTIMATORS,
+    AnalysisSet,
     ModelSpec,
     default_model_set,
     fit,
+    prepare,
     results_to_csv,
     results_to_json,
 )
@@ -26,7 +28,7 @@ from platformtrial.datagen import (
     slice_for_arm,
     write_csv,
 )
-from platformtrial.design import ConfigError, TrialConfig
+from platformtrial.design import ConfigError, TrialConfig, TrialTimeline
 from platformtrial.regression_engine import RankDeficiencyError
 from platformtrial.simharness import Scenario, run_scenario
 
@@ -295,6 +297,63 @@ class TestFitDispatch:
         assert not one.reject  # wrong direction
         assert two.reject
         assert one.p_one > 0.5
+
+
+def every_estimator(c_length=100.0):
+    return [ModelSpec(name, c_length=c_length) for name in ESTIMATORS]
+
+
+class TestPrepare:
+    @pytest.mark.parametrize("d", [0, 100, 250])
+    def test_prepared_set_fits_like_the_dataset(self, d):
+        ds = generate_trial(make_config(d=d), TrendSpec("linear", lam=(0.5,) * 5), "alternative", seed=d)
+        for m in (1, 3):
+            sl = slice_for_arm(ds, m)
+            prepared = prepare(sl, m)
+            for spec in every_estimator():
+                assert fit(prepared, m, spec) == fit(sl, m, spec), (m, spec.label)
+
+    def test_fits_leave_a_shared_set_unchanged(self):
+        ds = slice_for_arm(generate_trial(make_config(d=100), TrendSpec.none(4), "null", seed=4), 3)
+        prepared = prepare(ds, 3)
+        before = {name: getattr(prepared, name).copy() for name in ("t", "arm", "y")}
+        scalars = (prepared.horizon, prepared.origin, prepared.treatments, prepared.m_entry,
+                   prepared.period_starts)
+        for spec in every_estimator():
+            fit(prepared, 3, spec)
+        for name, values in before.items():
+            now = getattr(prepared, name)
+            assert not now.flags.writeable
+            assert now.dtype == values.dtype and now.tobytes() == values.tobytes(), name
+        assert (prepared.horizon, prepared.origin, prepared.treatments, prepared.m_entry,
+                prepared.period_starts) == scalars
+        # the caller's arrays stay writable, whether prepared directly or by fit
+        fit(ds, 3, ModelSpec("fixed_period"))
+        assert all(getattr(ds, name).flags.writeable for name in ("t", "arm", "y"))
+        with pytest.raises(ValueError, match="read-only"):
+            prepared.y[0] = 0.0
+
+    def test_only_period_estimators_read_the_timeline(self):
+        # a hand-built set whose timeline opens no period before arm 1's last
+        # record, or that has no timeline, still fits the t-tests
+        sl = slice_for_arm(generate_trial(make_config(d=100), TrendSpec.none(4), "null", seed=6), 1)
+        late = float(sl.t.max()) + 1
+        no_period = replace(sl, timeline=TrialTimeline(entry=(late,) * 4, exit=(late + 1,) * 4))
+        prepared = prepare(no_period, 1)
+        assert fit(prepared, 1, ModelSpec("pooled")) == fit(sl, 1, ModelSpec("pooled"))
+        with pytest.raises(ConfigError, match="no arms active"):
+            fit(prepared, 1, ModelSpec("fixed_period"))
+        no_timeline = prepare(replace(sl, timeline=None), 1)
+        assert no_timeline.m_entry == float(sl.t[sl.arm == 1].min())
+        for spec in (ModelSpec("pooled"), ModelSpec("separate")):
+            assert np.isfinite(fit(no_timeline, 1, spec).theta_hat)
+
+    def test_set_prepared_for_another_arm_rejected(self):
+        ds = slice_for_arm(generate_trial(make_config(d=100), TrendSpec.none(4), "null", seed=5), 2)
+        prepared = prepare(ds, 2)
+        assert isinstance(prepared, AnalysisSet) and prepared.m == 2
+        with pytest.raises(ConfigError, match="arm 2.*arm 3"):
+            fit(prepared, 3, ModelSpec("fixed_period"))
 
 
 class TestMonteCarloProperties:

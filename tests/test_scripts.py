@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -28,3 +30,79 @@ def test_reml_fit_by_fit_compares_a_tree_with_itself(tmp_path):
         assert int(fits) == 3 and int(worse) == int(better) == 0
         assert float(worst_gap) == 0.0
         assert len(counts) == 4
+
+
+sys.path.insert(0, str(ROOT / "scripts"))
+import bench_pairs  # noqa: E402
+
+RESULT_LINE = (
+    '{"correct": true, "attempted": 720, "failed": 0, "metrics": {'
+    '"cell_reps_per_s": {"value": %s, "unit": "1/s"}, '
+    '"peak_rss_mb": {"value": %s, "unit": "MB"}}}'
+)
+
+# Stands in for perfbench/run.py: logs which tree ran, prints the canned lines.
+FAKE_RUN = '''
+import sys
+from pathlib import Path
+here = Path.cwd()
+with open(here.parent / "order.log", "a") as fh:
+    fh.write(here.name + " " + " ".join(sys.argv[1:]) + "\\n")
+print('{"environment": {}}')
+print("calendar_sweep cell_reps_per_s = %s 1/s")
+print(%r)
+'''
+
+
+def fake_tree(root, name, reps_per_s, rss):
+    tree = root / name
+    (tree / "perfbench").mkdir(parents=True)
+    line = RESULT_LINE % (reps_per_s, rss)
+    (tree / "perfbench" / "run.py").write_text(FAKE_RUN % (reps_per_s, line))
+    (tree / "BENCHMARK.json").write_bytes((ROOT / "BENCHMARK.json").read_bytes())
+    return tree
+
+
+def test_bench_pairs_parses_result_lines():
+    out = '{"environment": {}}\nw cell_reps_per_s = 5 1/s\n' + RESULT_LINE % (5.5, 80) + "\n"
+    assert bench_pairs.parse_run(out) == {
+        "correct": True, "failed": 0, "metrics": {"cell_reps_per_s": 5.5, "peak_rss_mb": 80.0}}
+    failed_check = '{"correct": false, "attempted": 1, "failed": 0, "metrics": {}}'
+    assert bench_pairs.parse_run(failed_check)["correct"] is False
+    with pytest.raises(ValueError, match="no run.py result line"):
+        bench_pairs.parse_run("perfbench: no platformtrial package under src\n")
+
+
+def test_bench_pairs_summary_counts_wins_by_direction():
+    runs = [
+        {"pair": i, "side": side, "correct": True, "failed": 0,
+         "metrics": {"cell_reps_per_s": v, "peak_rss_mb": rss}}
+        for i, (p, c) in enumerate([(10.0, 12.0), (11.0, 10.5), (9.0, 13.0)])
+        for side, v, rss in (("parent", p, 80.0), ("change", c, 81.0 - i))
+    ]
+    out = bench_pairs.summarize(runs, {"cell_reps_per_s": "higher", "peak_rss_mb": "lower",
+                                       "setup_s": "lower"})
+    assert set(out) == {"cell_reps_per_s", "peak_rss_mb"}  # no run reported setup_s
+    assert out["cell_reps_per_s"]["parent"] == [10.0, 11.0, 9.0]
+    assert out["cell_reps_per_s"]["parent_q1_median_q3"] == [9.5, 10.0, 10.5]
+    assert out["cell_reps_per_s"]["change_wins"] == "2/3"
+    assert out["peak_rss_mb"]["change_wins"] == "1/3"  # 81 > 80, 80 == 80, 79 < 80
+
+
+def test_bench_pairs_alternates_which_tree_runs_first(tmp_path):
+    parent = fake_tree(tmp_path, "parent", 100.0, 80.0)
+    change = fake_tree(tmp_path, "change", 200.0, 80.0)
+    result = bench_pairs.run_pairs(parent, change, "calendar_sweep", 3, 4242)
+    order = (tmp_path / "order.log").read_text().splitlines()
+    assert [line.split()[0] for line in order] == [
+        "parent", "change", "change", "parent", "parent", "change"]
+    assert order[0].split()[1:] == [
+        "--workload", "calendar_sweep", "--trace", "0", "--seed", "4242"]
+    assert [(r["pair"], r["side"]) for r in result["runs"]] == [
+        (0, "parent"), (0, "change"), (1, "change"), (1, "parent"), (2, "parent"), (2, "change")]
+    block = result["end_to_end"]["calendar_sweep@seed4242"]
+    assert block["cell_reps_per_s"]["change"] == [200.0] * 3
+    assert block["cell_reps_per_s"]["change_wins"] == "3/3"
+    assert block["peak_rss_mb"]["change_wins"] == "0/3"
+    assert result["all_runs_correct"] is True
+    assert result["command"].endswith("--workload calendar_sweep --trace 0 --seed 4242")

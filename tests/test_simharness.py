@@ -1,11 +1,15 @@
 import math
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from platformtrial import blas, simharness
-from platformtrial.analysis import ModelSpec
-from platformtrial.datagen import TrendSpec
+from platformtrial.analysis import ModelSpec, prepare
+from platformtrial.datagen import TREND_PATTERNS, TrendSpec, generate_trial, slice_for_arm
 from platformtrial.design import ConfigError, TrialConfig
 from platformtrial.simharness import (
     GridSpec,
@@ -202,6 +206,82 @@ class TestRunGrid:
     def test_grid_deterministic_across_threads(self):
         grid = TestGridSpec.grid(replicates=20)
         assert run_grid(grid, threads=1) == run_grid(grid, threads=2)
+
+
+class TestSharedAnalysisSets:
+    @staticmethod
+    def grid(**kw):
+        """2 hypotheses x 3 c_lengths: each hypothesis's 3 cells share one data key."""
+        base = dict(
+            estimators=(ModelSpec("fixed_calendar", c_length=1), ModelSpec("spline_period"),
+                        ModelSpec("mixed_calendar", c_length=1), ModelSpec("separate")),
+            hypotheses=("null", "alternative"), c_lengths=(10.0, 25.0, 40.0),
+            lambdas=(0.5,), replicates=4,
+        )
+        base.update(kw)
+        return TestGridSpec.grid(**base)
+
+    def test_each_dataset_generated_once_and_rows_as_cells_alone(self, monkeypatch, tmp_path):
+        grid = self.grid()
+        calls = []
+        real_generate = simharness.generate_trial
+
+        def counting_generate(*args, **kwargs):
+            calls.append(kwargs["seed"].entropy)
+            return real_generate(*args, **kwargs)
+
+        monkeypatch.setattr(simharness, "generate_trial", counting_generate)
+        rows_to_csv(run_grid(grid, threads=1), tmp_path / "grid.csv")
+        assert len(calls) == len(set(calls)) == 2 * grid.replicates
+        monkeypatch.undo()
+        alone = []
+        for hypothesis in grid.hypotheses:
+            for c_length in grid.c_lengths:
+                cell = dataclasses.replace(grid, hypotheses=(hypothesis,), c_lengths=(c_length,))
+                alone += run_grid(cell, threads=1)
+        rows_to_csv(alone, tmp_path / "alone.csv")
+        assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_cells_share_a_mapping_only_within_a_data_key_group(self, monkeypatch, threads):
+        seen = []
+        real_run_scenario = simharness.run_scenario
+
+        def recording_run_scenario(scenario, threads, _shared=None):
+            seen.append((scenario.hypothesis, _shared))
+            return real_run_scenario(scenario, threads, _shared)
+
+        monkeypatch.setattr(simharness, "run_scenario", recording_run_scenario)
+        run_grid(self.grid(replicates=2), threads=threads)
+        assert [h for h, _ in seen] == ["null"] * 3 + ["alternative"] * 3
+        shared = [m for _, m in seen]
+        if threads > 1:
+            assert shared == [None] * 6  # workers cannot fill the parent's mapping
+        else:
+            assert shared[0] is shared[1] is shared[2] and shared[3] is shared[4] is shared[5]
+            assert shared[0] is not shared[3]
+            assert sorted(shared[0]) == sorted(shared[3]) == [0, 1]
+        seen.clear()
+        run_grid(self.grid(c_lengths=(10.0,)), threads=threads)
+        assert [m for _, m in seen] == [None, None]  # groups of one cell keep no mapping
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        K=st.integers(min_value=2, max_value=6),
+        d=st.integers(min_value=0, max_value=300),
+        n=st.integers(min_value=2, max_value=40),
+        pattern=st.sampled_from(TREND_PATTERNS),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        data=st.data(),
+    )
+    def test_prepare_cannot_fail_after_slice_for_arm(self, K, d, n, pattern, seed, data):
+        # run_replicate prepares outside the per-fit try: a ConfigError there
+        # would end the run instead of counting as a failed fit
+        M = data.draw(st.integers(min_value=1, max_value=K), label="M")
+        cfg = TrialConfig(K=K, d=d, n=n, eta0=0.0, theta=(0.25,) * K, sigma=1.0, M=M)
+        trend = TrendSpec(pattern, (0.3,) * (K + 1), n_p=2, psi=1.0)
+        prepared = prepare(slice_for_arm(generate_trial(cfg, trend, "null", seed=seed), M), M)
+        assert prepared.m == M and prepared.period_starts[0] == 1.0
 
 
 class TestBlasThreads:
