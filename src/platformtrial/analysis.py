@@ -4,7 +4,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -48,6 +48,8 @@ ESTIMATORS = {
     "pooled": Estimator(None, "pooled"),
     "separate": Estimator(None, "separate"),
 }
+
+_EPS = float(np.finfo(float).eps)
 
 RESULT_FIELDS = ("estimator", "arm", "theta_hat", "se", "p_one", "p_two", "reject")
 
@@ -120,7 +122,9 @@ class AnalysisSet:
 
     Built by :func:`prepare`. Its arrays are read-only views, so one set can
     serve every fit of a replicate, and every grid cell that shares the data,
-    without a fit being able to change it for the next.
+    without a fit being able to change it for the next. ``fits`` holds the
+    result of every spec :func:`fit` has fitted on the set, so a spec shared
+    by several cells is fitted once.
     """
 
     m: int
@@ -132,6 +136,9 @@ class AnalysisSet:
     treatments: tuple[int, ...]
     m_entry: float
     timeline: TrialTimeline
+    fits: dict[ModelSpec, FitResult] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @cached_property
     def period_starts(self) -> tuple[float, ...]:
@@ -184,15 +191,23 @@ def fit(data: TrialDataset | AnalysisSet, m: int, spec: ModelSpec) -> FitResult:
     """Fit one estimator to the analysis set of arm m.
 
     ``data`` is the analysis set as a dataset, or as :func:`prepare` made it
-    for arm m; the result is the same.
+    for arm m; the result is the same. A fit is a function of (set, spec), so
+    a prepared set keeps each successful fit in ``data.fits`` and answers an
+    equal spec from there; every call gets its own ``diagnostics`` dict. A
+    failed fit is not kept and raises again.
     """
-    kind = spec.kind
-    if isinstance(data, AnalysisSet):
-        if data.m != m:
-            raise ConfigError(f"analysis set prepared for arm {data.m}, not for arm {m}")
-        prep = data
-    else:
-        prep = prepare(data, m)
+    if not isinstance(data, AnalysisSet):
+        return _fit(prepare(data, m), spec)
+    if data.m != m:
+        raise ConfigError(f"analysis set prepared for arm {data.m}, not for arm {m}")
+    kept = data.fits.get(spec)
+    if kept is None:
+        kept = data.fits[spec] = _fit(data, spec)
+    return replace(kept, diagnostics=dict(kept.diagnostics))
+
+
+def _fit(prep: AnalysisSet, spec: ModelSpec) -> FitResult:
+    kind, m = spec.kind, prep.m
     if kind.timescale is None:
         # regress on arm m's records and all (pooled) or the concurrent
         # (separate) controls, those randomized from arm m's entry on
@@ -204,10 +219,6 @@ def fit(data: TrialDataset | AnalysisSet, m: int, spec: ModelSpec) -> FitResult:
         if not controls.any():
             raise ConfigError("no control records available for the t-test")
         in_arm = prep.arm == m
-        # constant groups fit exactly, and the regression's residual would be
-        # rounding noise rather than the zero it is
-        if np.ptp(prep.y[in_arm]) == 0.0 and np.ptp(prep.y[controls]) == 0.0:
-            raise ConfigError("degenerate test: zero standard error")
         rows = in_arm | controls
         dm = build_design(prep.t[rows], prep.arm[rows], prep.y[rows], treatments=(m,))
         diag.update(n_treatment=int(in_arm.sum()), n_controls=int(controls.sum()))
@@ -256,6 +267,11 @@ def fit(data: TrialDataset | AnalysisSet, m: int, spec: ModelSpec) -> FitResult:
                 diag["rho"] = estimate.rho
     if estimate is None:
         estimate = ols_fit(dm)
+        # an exact fit leaves a residual of rounding noise, of order at most
+        # (n eps)^2 y'y, instead of the zero it is
+        n = len(dm.y)
+        if estimate.sigma2_hat * estimate.df <= (n * _EPS) ** 2 * float(dm.y @ dm.y):
+            raise ConfigError("degenerate test: zero standard error")
     wt = wald_test(estimate, f"trt{m}", sided=spec.sided, alpha=spec.alpha)
     diag.update(df=estimate.df, n_obs=len(dm.y), n_columns=dm.X.shape[1])
     return FitResult(spec.label, m, *wt, diagnostics=diag)

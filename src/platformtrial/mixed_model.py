@@ -28,6 +28,11 @@ _MAX_EVALS = 500  # objective evaluations per fit, scan included
 _FATOL = 1e-8
 _LOG_GAMMA_BOUND = 34.0
 _LOG_GAMMA_SCAN = (-10.0, -6.0, -3.0, -1.0, 0.0, 1.0, 3.0)  # the surface can be flat in gamma
+# the independent scan runs from bound to bound and adds points below -10, so
+# that an interior optimum there is bracketed instead of lost to the boundary
+_LOG_GAMMA_SCAN_INDEPENDENT = (
+    -_LOG_GAMMA_BOUND, -26.0, -20.0, -14.0, *_LOG_GAMMA_SCAN, _LOG_GAMMA_BOUND
+)
 _ATANH_RHO_BOUND = 18.0
 # gamma = sigma2_random / sigma2 at or below this is reported as a boundary
 # (gamma -> 0) solution; boundary fits end at exp(-_LOG_GAMMA_BOUND) ~ 1.7e-15
@@ -168,10 +173,11 @@ def reml_fit(
     otherwise, as :func:`build_random_design` returns it.
 
     Independent structure: the objective is scanned at the log gamma points
-    and both bounds +-34. If the lower bound is best, the boundary gamma -> 0
-    is the solution (legitimate, not an error) and no search runs; otherwise a
-    bounded scalar search runs between the best point's two scan neighbours,
-    and the better of its result and that point is returned. AR(1):
+    of ``_LOG_GAMMA_SCAN_INDEPENDENT``, from bound to bound (+-34). If the
+    lower bound is best, the boundary gamma -> 0 is the solution (legitimate,
+    not an error) and no search runs; otherwise a bounded scalar search runs
+    between the best point's two scan neighbours, and the better of its result
+    and that point is returned. AR(1):
     Nelder-Mead on (log gamma, atanh rho) from the best point of a 21-point
     scan. A fit whose search exhausts the evaluation budget before meeting its
     tolerance is returned with converged=False. ``iterations`` counts every
@@ -217,7 +223,7 @@ def reml_fit(
         )
         best, converged = tuple(res.x), bool(res.success)
     else:
-        scan = (-_LOG_GAMMA_BOUND, *_LOG_GAMMA_SCAN, _LOG_GAMMA_BOUND)
+        scan = _LOG_GAMMA_SCAN_INDEPENDENT
         values = [objective(lg) for lg in scan]
         i = int(np.argmin(values))
         best, converged = (scan[i],), True

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from platformtrial import analysis
 from platformtrial.analysis import (
     ESTIMATORS,
     AnalysisSet,
@@ -254,6 +255,16 @@ class TestFitDispatch:
         with pytest.raises(np.linalg.LinAlgError):
             fit(ds, 1, ModelSpec(estimator, c_length=5))
 
+    @pytest.mark.parametrize("estimator", ["fixed_period", "fixed_calendar",
+                                           "spline_period", "spline_calendar"])
+    def test_exact_fit_degenerate_in_least_squares_estimators(self, estimator):
+        # the same exact fit: least squares leaves a residual sum of squares of
+        # up to 6.6e-31 y'y here, not zero, and reported an SE of ~1e-15
+        arm = np.array([0, 1] * 10)
+        ds = manual_dataset(arm, np.where(arm == 1, 3.7, 7.4))
+        with pytest.raises(ConfigError, match="degenerate"):
+            fit(ds, 1, ModelSpec(estimator, c_length=5))
+
     def test_unsliced_dataset_rejected(self):
         ds = generate_trial(make_config(M=1), TrendSpec.none(4), "null", seed=6)
         with pytest.raises(ConfigError, match="slice_for_arm"):
@@ -354,6 +365,78 @@ class TestPrepare:
         assert isinstance(prepared, AnalysisSet) and prepared.m == 2
         with pytest.raises(ConfigError, match="arm 2.*arm 3"):
             fit(prepared, 3, ModelSpec("fixed_period"))
+
+
+class TestKeptFits:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Every build_design call that fit makes, i.e. every fit actually run."""
+        calls = []
+        real_build_design = analysis.build_design
+
+        def counting_build_design(*args, **kwargs):
+            calls.append(args)
+            return real_build_design(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "build_design", counting_build_design)
+        return calls
+
+    @staticmethod
+    def sliced(seed=4):
+        return slice_for_arm(generate_trial(make_config(d=100), TrendSpec.none(4), "null", seed=seed), 3)
+
+    def test_equal_spec_answered_without_refitting(self, builds):
+        sl = self.sliced()
+        prepared = prepare(sl, 3)
+        for spec in every_estimator():
+            first = fit(prepared, 3, spec)
+            done = len(builds)
+            # an equal spec, not the same object
+            again = fit(prepared, 3, ModelSpec(spec.estimator, c_length=100.0))
+            assert len(builds) == done, spec.label
+            assert again == first == fit(sl, 3, spec), spec.label
+        assert len(prepared.fits) == len(ESTIMATORS)
+
+    def test_specs_differing_in_one_option_each_fit(self, builds):
+        sl = self.sliced()
+        prepared = prepare(sl, 3)
+        base = ModelSpec("fixed_calendar", c_length=100.0, alpha=0.5)
+        specs = [base, replace(base, alpha=0.3), replace(base, sided="two"),
+                 replace(base, c_length=60.0)]
+        results = [fit(prepared, 3, spec) for spec in specs]
+        assert len(builds) == len(specs) and len(prepared.fits) == len(specs)
+        assert [r.reject for r in results[:3]] == [True, False, False]
+        assert results[3].theta_hat != results[0].theta_hat
+        for spec, result in zip(specs, results):
+            assert fit(prepared, 3, spec) == result == fit(sl, 3, spec)
+
+    def test_failing_spec_raises_on_every_call(self, builds):
+        arm = np.array([0, 1] * 10)
+        prepared = prepare(manual_dataset(arm, np.where(arm == 1, 3.7, 7.4)), 1)
+        for calls in (1, 2, 3):
+            with pytest.raises(ConfigError, match="degenerate"):
+                fit(prepared, 1, ModelSpec("fixed_period"))
+            assert len(builds) == calls
+        assert prepared.fits == {}
+
+    def test_every_call_gets_its_own_diagnostics(self):
+        prepared = prepare(self.sliced(), 3)
+        spec = ModelSpec("mixed_period")
+        first = fit(prepared, 3, spec)
+        expected = dict(first.diagnostics)
+        first.diagnostics["converged"] = False
+        second = fit(prepared, 3, spec)
+        assert second.diagnostics == expected
+        second.diagnostics.clear()
+        third = fit(prepared, 3, spec)
+        assert third.diagnostics == expected
+        assert len({id(r.diagnostics) for r in (first, second, third)}) == 3
+
+    def test_dataset_input_keeps_nothing(self, builds):
+        sl = self.sliced()
+        results = [fit(sl, 3, ModelSpec("fixed_period")) for _ in range(3)]
+        assert len(builds) == 3
+        assert results[0] == results[1] == results[2]
 
 
 class TestMonteCarloProperties:

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +35,7 @@ def test_reml_fit_by_fit_compares_a_tree_with_itself(tmp_path):
 
 sys.path.insert(0, str(ROOT / "scripts"))
 import bench_pairs  # noqa: E402
+import grid_cmp  # noqa: E402
 
 RESULT_LINE = (
     '{"correct": true, "attempted": 720, "failed": 0, "metrics": {'
@@ -106,3 +108,50 @@ def test_bench_pairs_alternates_which_tree_runs_first(tmp_path):
     assert block["peak_rss_mb"]["change_wins"] == "0/3"
     assert result["all_runs_correct"] is True
     assert result["command"].endswith("--workload calendar_sweep --trace 0 --seed 4242")
+
+
+def test_grid_cmp_compares_a_tree_with_itself(tmp_path):
+    # a tree holding the script, perfbench/run.py, this checkout's package and
+    # one small config, so that "every bundled config" is that one
+    for part in ("scripts/grid_cmp.py", "perfbench/run.py"):
+        (tmp_path / part).parent.mkdir(exist_ok=True)
+        (tmp_path / part).write_bytes((ROOT / part).read_bytes())
+    (tmp_path / "src").symlink_to(ROOT / "src")
+    (tmp_path / "configs").mkdir()
+    (tmp_path / "configs" / "tiny.json").write_text(json.dumps({
+        "schema": 1,
+        "setting": "tiny",
+        "trial": {"K": 2, "d": [20], "n": 20, "eta0": 0.0, "sigma": 1.0, "M": 2, "effect": 0.25},
+        "trend": {"patterns": ["linear"], "lambda": [0.5]},
+        "calendar": {"c_length": [10, 20]},
+        "models": [{"estimator": "fixed_calendar"}, {"estimator": "fixed_period"}],
+        "run": {"hypotheses": ["null"], "replicates": 3, "seed": 7},
+    }))
+    out = subprocess.run(
+        [sys.executable, str(tmp_path / "scripts" / "grid_cmp.py"), str(tmp_path), "--reps", "2"],
+        capture_output=True, text=True, check=True, timeout=300,
+    ).stdout.splitlines()
+    assert out[0].split()[:3] == ["config", "threads", "identical"]
+    assert [line.split()[:3] for line in out[1:]] == [["tiny", "1", "yes"], ["tiny", "2", "yes"]]
+
+
+def grid_csv(*rows):
+    header = "estimator,reps,reject_rate,mc_se,mean_est,emp_se,bias,failures\n"
+    return (header + "".join(f"{row}\n" for row in rows)).encode()
+
+
+def test_grid_cmp_reports_deviations_in_tolerance_units():
+    parent = grid_csv("a,10,0.1,0.01,0.5,1.0,0.5,0", "b,10,0.2,0.02,nan,nan,nan,10")
+    assert grid_cmp.compare(parent, parent) == {"identical": True}
+    # mean_est 0.5 -> 0.5 + 2 tolerances
+    moved = 0.5 + 2 * (grid_cmp.FLOAT_ATOL + grid_cmp.FLOAT_RTOL * 0.5)
+    change = grid_csv(f"a,10,0.1,0.01,{moved!r},1.0,0.5,0", "b,10,0.2,0.02,nan,nan,nan,10")
+    out = grid_cmp.compare(change, parent)
+    assert out["max_dev_tol"] == pytest.approx(2.0)
+    assert (out["column"], out["estimator"]) == ("mean_est", "a")
+    assert out["other_columns_equal"] and out["reject_rate_equal"]
+    change = grid_csv("a,10,0.2,0.01,0.5,1.0,0.5,0", "b,9,0.2,0.02,1.0,nan,nan,10")
+    out = grid_cmp.compare(change, parent)
+    assert out["max_dev_tol"] == math.inf and out["column"] == "mean_est"
+    assert not out["other_columns_equal"] and not out["reject_rate_equal"]
+    assert "rows" in grid_cmp.compare(grid_csv("a,10,0.1,0.01,0.5,1.0,0.5,0"), parent)

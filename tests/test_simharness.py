@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from platformtrial import blas, simharness
+from platformtrial import analysis, blas, simharness
 from platformtrial.analysis import ModelSpec, prepare
 from platformtrial.datagen import TREND_PATTERNS, TrendSpec, generate_trial, slice_for_arm
 from platformtrial.design import ConfigError, TrialConfig
@@ -241,6 +241,27 @@ class TestSharedAnalysisSets:
                 alone += run_grid(cell, threads=1)
         rows_to_csv(alone, tmp_path / "alone.csv")
         assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+
+    def test_group_fits_each_distinct_spec_once(self, monkeypatch):
+        # per replicate, the 3 cells call fit 4 times each, but spline_period
+        # and separate ignore c_length: 3 + 1 + 3 + 1 distinct fits
+        grid = self.grid(replicates=2)
+        fits, builds = [], []
+        real_fit, real_build_design = simharness.fit, analysis.build_design
+
+        def counting_fit(*args):
+            fits.append(args)
+            return real_fit(*args)
+
+        def counting_build_design(*args, **kwargs):
+            builds.append(args)
+            return real_build_design(*args, **kwargs)
+
+        monkeypatch.setattr(simharness, "fit", counting_fit)
+        monkeypatch.setattr(analysis, "build_design", counting_build_design)
+        run_grid(grid, threads=1)
+        assert len(fits) == 2 * grid.replicates * 3 * 4
+        assert len(builds) == 2 * grid.replicates * 8
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_cells_share_a_mapping_only_within_a_data_key_group(self, monkeypatch, threads):
