@@ -14,18 +14,22 @@ judges where each search stops, not how each tree rounds the objective:
 Prints, per covariance structure: the fit count, the number of fits whose
 -2 REML under the change is worse than the parent's by more than 1e-9, the
 worst such gap (change minus parent; negative when the change is better on
-every fit), the number better by more than 1e-9, and each tree's
-non-converged and failed (raising) fits. Each stage runs in its own
-interpreter with that tree's ``src`` on the path.
+every fit), the number better by more than 1e-9, each tree's non-converged
+and failed (raising) fits, each tree's mean and maximum objective
+evaluations per successful fit (``MixedFit.iterations``), and each tree's
+median wall time per refit in ms. Each stage runs in its own interpreter
+with that tree's ``src`` on the path.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import pickle
+import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -70,7 +74,8 @@ def capture(config: str, reps: str, seed: str, out: str) -> None:
 
 
 def refit(fits_path: str, out: str) -> None:
-    """Refit every captured fit: (gamma, rho, converged), or None where it fails.
+    """Refit every captured fit: (gamma, rho, converged, evaluations), or None
+    where it fails, each with the refit's wall time in seconds.
 
     A known fit failure counts as failed; any other exception stops the
     comparison.
@@ -83,12 +88,15 @@ def refit(fits_path: str, out: str) -> None:
 
     results = []
     for X, groups, y, structure in load(fits_path):
+        start = time.perf_counter()
         try:
             fit = reml_fit(X, groups, y, cov_structure=structure)
         except (ConfigError, RankDeficiencyError, np.linalg.LinAlgError):
-            results.append(None)
+            results.append((None, time.perf_counter() - start))
         else:
-            results.append((fit.sigma2_random / fit.sigma2, fit.rho or 0.0, fit.converged))
+            elapsed = time.perf_counter() - start
+            estimate = (fit.sigma2_random / fit.sigma2, fit.rho or 0.0, fit.converged, fit.iterations)
+            results.append((estimate, elapsed))
     dump(results, out)
 
 
@@ -96,9 +104,13 @@ def score(fits_path: str, parent_path: str, change_path: str) -> None:
     """Score both trees' estimates with this tree's objective and print the table."""
     from platformtrial.mixed_model import _RemlWorkspace
 
-    fits, parent, change = (load(path) for path in (fits_path, parent_path, change_path))
+    fits, parent_runs, change_runs = (load(path) for path in (fits_path, parent_path, change_path))
+    parent, change = ([estimate for estimate, _ in runs] for runs in (parent_runs, change_runs))
     print(f"{'structure':<12} {'fits':>5} {'worse':>5} {'worst_gap':>10} {'better':>6} "
-          f"{'nonconv_parent':>14} {'nonconv_change':>14} {'failed_parent':>13} {'failed_change':>13}")
+          f"{'nonconv_parent':>14} {'nonconv_change':>14} {'failed_parent':>13} {'failed_change':>13} "
+          f"{'evals_mean_parent':>17} {'evals_mean_change':>17} "
+          f"{'evals_max_parent':>16} {'evals_max_change':>16} "
+          f"{'ms_p50_parent':>13} {'ms_p50_change':>13}")
     for structure in sorted({fit[3] for fit in fits}):
         rows = [i for i, fit in enumerate(fits) if fit[3] == structure]
         gaps = []
@@ -106,14 +118,18 @@ def score(fits_path: str, parent_path: str, change_path: str) -> None:
             if parent[i] is None or change[i] is None:
                 continue
             work = _RemlWorkspace(*fits[i][:3])
-            a, b = (work.neg2ll(gamma, rho, structure) for gamma, rho, _ in (parent[i], change[i]))
+            a, b = (work.neg2ll(gamma, rho, structure) for gamma, rho, *_ in (parent[i], change[i]))
             gaps.append(b - a)
         nonconv = [sum(1 for i in rows if r[i] is not None and not r[i][2]) for r in (parent, change)]
         failed = [sum(1 for i in rows if r[i] is None) for r in (parent, change)]
+        evals = [[r[i][3] for i in rows if r[i] is not None] or [0] for r in (parent, change)]
+        ms = [1e3 * statistics.median(runs[i][1] for i in rows) for runs in (parent_runs, change_runs)]
         worst = f"{max(gaps):.3g}" if gaps else "-"
         print(f"{structure:<12} {len(rows):>5} {sum(g > TOL for g in gaps):>5} {worst:>10} "
               f"{sum(g < -TOL for g in gaps):>6} {nonconv[0]:>14} {nonconv[1]:>14} "
-              f"{failed[0]:>13} {failed[1]:>13}")
+              f"{failed[0]:>13} {failed[1]:>13} "
+              f"{statistics.mean(evals[0]):>17.2f} {statistics.mean(evals[1]):>17.2f} "
+              f"{max(evals[0]):>16} {max(evals[1]):>16} {ms[0]:>13.3f} {ms[1]:>13.3f}")
 
 
 def run_stage(tree: Path, *args: str) -> None:

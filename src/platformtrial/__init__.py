@@ -1,12 +1,19 @@
 """Platform-trial simulation and time-adjusted analysis with shared controls."""
 
-from .analysis import ESTIMATORS, AnalysisSet, FitResult, ModelSpec, default_model_set, fit, prepare
+from .analysis import (
+    ESTIMATORS,
+    AnalysisSet,
+    FitResult,
+    ModelSpec,
+    default_model_set,
+    fit,
+    slice_for_arm,
+)
 from .datagen import (
     TrendSpec,
     TrialDataset,
     generate_trial,
     read_csv,
-    slice_for_arm,
     trend_value,
     write_csv,
 )
@@ -52,7 +59,6 @@ __all__ = [
     "generate_trial",
     "knots_at",
     "ols_fit",
-    "prepare",
     "read_csv",
     "reml_fit",
     "run_grid",

@@ -120,7 +120,7 @@ def default_model_set(c_length: float, spline_degree: int = 3, **opts) -> tuple[
 class AnalysisSet:
     """The analysis set of arm m, checked once and ready for every estimator.
 
-    Built by :func:`prepare`. Its arrays are read-only views, so one set can
+    Built by :func:`slice_for_arm`. Its arrays are read-only, so one set can
     serve every fit of a replicate, and every grid cell that shares the data,
     without a fit being able to change it for the next. ``fits`` holds the
     result of every spec :func:`fit` has fitted on the set, so a spec shared
@@ -147,59 +147,59 @@ class AnalysisSet:
         return derive_periods(tl.entry, tl.exit, self.horizon, origin=self.origin)
 
 
-def _read_only(values, dtype=None) -> np.ndarray:
-    view = np.asarray(values, dtype=dtype).view()  # the caller's array stays writable
-    view.flags.writeable = False
-    return view
+def slice_for_arm(dataset: TrialDataset, m: int) -> AnalysisSet:
+    """The analysis set of arm m: every record up to arm m's exit time.
 
-
-def prepare(dataset: TrialDataset, m: int) -> AnalysisSet:
-    """Check the analysis set of arm m and derive what every estimator reads.
-
-    Raises ``ConfigError`` unless the set holds arm m's records and nothing
-    after its exit, as :func:`datagen.slice_for_arm` leaves it.
+    Partial data of arms still recruiting at that time is kept. Raises
+    ``ConfigError`` when arm m has no records, or fewer than the dataset's
+    ``n_target``. The set's arrays are read-only copies of the cut, so the
+    caller's dataset stays writable.
     """
     if m < 1:
         raise ConfigError("the evaluated arm must be an experimental arm (>= 1)")
     in_arm = dataset.arm == m
-    if not in_arm.any():
-        raise ConfigError(f"arm {m} has no records in the analysis set")
-    horizon = float(dataset.t[in_arm].max())
-    if float(dataset.t.max()) > horizon:
-        raise ConfigError(
-            "analysis set contains records after the evaluated arm's exit; use slice_for_arm"
-        )
-    treatments = tuple(sorted(int(k) for k in np.unique(dataset.arm) if k != 0))
+    n_arm = int(in_arm.sum())
+    if not n_arm:
+        raise ConfigError(f"arm {m} has no records in the dataset")
+    if dataset.n_target is not None and n_arm < dataset.n_target:
+        raise ConfigError(f"arm {m} incomplete: {n_arm} of {dataset.n_target} patients")
+    t_arm = dataset.t[in_arm]
+    horizon = float(t_arm.max())
+    keep = dataset.t <= horizon
+    t = dataset.t[keep].astype(float, copy=False)
+    arm = dataset.arm[keep]
+    y = dataset.y[keep].astype(float, copy=False)
+    for values in (t, arm, y):
+        values.flags.writeable = False  # copies of the cut, not the caller's arrays
     tl = dataset.timeline
-    m_entry = tl.entry[m - 1] if tl is not None and m <= len(tl.entry) else float(
-        dataset.t[in_arm].min()
-    )
+    m_entry = tl.entry[m - 1] if tl is not None and m <= len(tl.entry) else t_arm.min()
     return AnalysisSet(
         m=m,
-        t=_read_only(dataset.t, dtype=float),
-        arm=_read_only(dataset.arm),
-        y=_read_only(dataset.y, dtype=float),
+        t=t,
+        arm=arm,
+        y=y,
         horizon=horizon,
-        origin=float(dataset.t.min()),
-        treatments=treatments,
+        origin=float(t.min()),
+        treatments=tuple(sorted(int(k) for k in np.unique(arm) if k != 0)),
         m_entry=float(m_entry),
         timeline=tl,
     )
 
 
-def fit(data: TrialDataset | AnalysisSet, m: int, spec: ModelSpec) -> FitResult:
+def fit(data: AnalysisSet, m: int, spec: ModelSpec) -> FitResult:
     """Fit one estimator to the analysis set of arm m.
 
-    ``data`` is the analysis set as a dataset, or as :func:`prepare` made it
-    for arm m; the result is the same. A fit is a function of (set, spec), so
-    a prepared set keeps each successful fit in ``data.fits`` and answers an
-    equal spec from there; every call gets its own ``diagnostics`` dict. A
-    failed fit is not kept and raises again.
+    ``data`` is the set :func:`slice_for_arm` made for arm m. A fit is a
+    function of (set, spec), so the set keeps each successful fit in
+    ``data.fits`` and answers an equal spec from there; every call gets its
+    own ``diagnostics`` dict. A failed fit is not kept and raises again.
     """
     if not isinstance(data, AnalysisSet):
-        return _fit(prepare(data, m), spec)
+        raise ConfigError(
+            f"fit takes the AnalysisSet of slice_for_arm(dataset, {m}), not {type(data).__name__}"
+        )
     if data.m != m:
-        raise ConfigError(f"analysis set prepared for arm {data.m}, not for arm {m}")
+        raise ConfigError(f"analysis set made for arm {data.m}, not for arm {m}")
     kept = data.fits.get(spec)
     if kept is None:
         kept = data.fits[spec] = _fit(data, spec)

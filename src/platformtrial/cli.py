@@ -11,9 +11,9 @@ from dataclasses import MISSING, fields, replace
 import numpy as np
 
 from .analysis import (
-    ESTIMATORS, ModelSpec, default_model_set, fit, prepare, results_to_csv, results_to_json,
+    ESTIMATORS, ModelSpec, default_model_set, fit, results_to_csv, results_to_json, slice_for_arm,
 )
-from .datagen import TREND_PATTERNS, arms_entered_by, read_csv, slice_for_arm, trend_value
+from .datagen import TREND_PATTERNS, arms_entered_by, read_csv, trend_value
 from .design import ConfigError
 from .simharness import (
     GridSpec, LAMBDA_PROFILES, lambda_multipliers, rows_to_csv, rows_to_json, run_grid,
@@ -316,8 +316,7 @@ def cmd_analyze(args) -> int:
         raise ConfigError(f"arm {args.arm} absent from {args.data}")
     analysis_set = slice_for_arm(dataset, args.arm)
     specs = _parse_models(args)
-    prepared = prepare(analysis_set, args.arm)
-    results = [fit(prepared, args.arm, spec) for spec in specs]
+    results = [fit(analysis_set, args.arm, spec) for spec in specs]
     print(f"{'estimator':<22} {'estimate':>10} {'std.error':>10} {'p_one':>8} {'p_two':>8}")
     for r in results:
         print(

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -218,31 +218,6 @@ def generate_trial(
         entry=tuple(float(e) for e in entries), exit=tuple(float(x) for x in exits)
     )
     return TrialDataset(j=j, arm=arm, t=j.astype(float), y=y, timeline=timeline, n_target=config.n)
-
-
-def slice_for_arm(dataset: TrialDataset, m: int) -> TrialDataset:
-    """Analysis data cut for arm m: every record up to arm m's exit time.
-
-    Partial data of arms still recruiting at that time is kept.
-    """
-    if m < 1:
-        raise ConfigError("the evaluated arm must be an experimental arm (>= 1)")
-    in_arm = dataset.arm == m
-    if not in_arm.any():
-        raise ConfigError(f"arm {m} has no records in the dataset")
-    if dataset.n_target is not None and int(in_arm.sum()) < dataset.n_target:
-        raise ConfigError(
-            f"arm {m} incomplete: {int(in_arm.sum())} of {dataset.n_target} patients"
-        )
-    horizon = float(dataset.t[in_arm].max())
-    keep = dataset.t <= horizon
-    return replace(
-        dataset,
-        j=dataset.j[keep],
-        arm=dataset.arm[keep],
-        t=dataset.t[keep],
-        y=dataset.y[keep],
-    )
 
 
 def empirical_timeline(arm: np.ndarray, t: np.ndarray) -> TrialTimeline:

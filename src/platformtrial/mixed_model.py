@@ -33,6 +33,9 @@ _LOG_GAMMA_SCAN = (-10.0, -6.0, -3.0, -1.0, 0.0, 1.0, 3.0)  # the surface can be
 _LOG_GAMMA_SCAN_INDEPENDENT = (
     -_LOG_GAMMA_BOUND, -26.0, -20.0, -14.0, *_LOG_GAMMA_SCAN, _LOG_GAMMA_BOUND
 )
+# evaluated only when 3 or the upper bound scores best: the bracket between
+# them is wide enough to hold a local minimum away from the optimum
+_LOG_GAMMA_SCAN_UPPER = (6.0, 10.0, 14.0, 20.0, 26.0)
 _ATANH_RHO_BOUND = 18.0
 # gamma = sigma2_random / sigma2 at or below this is reported as a boundary
 # (gamma -> 0) solution; boundary fits end at exp(-_LOG_GAMMA_BOUND) ~ 1.7e-15
@@ -173,7 +176,8 @@ def reml_fit(
     otherwise, as :func:`build_random_design` returns it.
 
     Independent structure: the objective is scanned at the log gamma points
-    of ``_LOG_GAMMA_SCAN_INDEPENDENT``, from bound to bound (+-34). If the
+    of ``_LOG_GAMMA_SCAN_INDEPENDENT``, from bound to bound (+-34), and, when
+    3 or the upper bound scores best, also at ``_LOG_GAMMA_SCAN_UPPER``. If the
     lower bound is best, the boundary gamma -> 0 is the solution (legitimate,
     not an error) and no search runs; otherwise a bounded scalar search runs
     between the best point's two scan neighbours, and the better of its result
@@ -223,8 +227,11 @@ def reml_fit(
         )
         best, converged = tuple(res.x), bool(res.success)
     else:
-        scan = _LOG_GAMMA_SCAN_INDEPENDENT
+        scan = list(_LOG_GAMMA_SCAN_INDEPENDENT)
         values = [objective(lg) for lg in scan]
+        if scan[int(np.argmin(values))] >= _LOG_GAMMA_SCAN[-1]:
+            scan[-1:-1] = _LOG_GAMMA_SCAN_UPPER
+            values[-1:-1] = [objective(lg) for lg in _LOG_GAMMA_SCAN_UPPER]
         i = int(np.argmin(values))
         best, converged = (scan[i],), True
         if i > 0:  # at i == 0 the boundary gamma -> 0 is best and needs no search

@@ -19,8 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from . import blas
-from .analysis import AnalysisSet, FitResult, ModelSpec, fit, prepare
-from .datagen import TrendSpec, generate_trial, slice_for_arm
+from .analysis import AnalysisSet, FitResult, ModelSpec, fit, slice_for_arm
+from .datagen import TrendSpec, generate_trial
 from .design import ConfigError, TrialConfig
 
 GRID_CSV_HEADER = (
@@ -59,7 +59,6 @@ class Scenario:
     hypothesis: str = "null"
     replicates: int = 1000
     seed: int = 0
-    label: str = ""
 
     def __post_init__(self):
         if self.replicates < 1:
@@ -122,9 +121,9 @@ def run_replicate(
         dataset = generate_trial(
             scenario.config, scenario.trend, scenario.hypothesis, seed=replicate_seed(scenario, index)
         )
-        # slice_for_arm leaves arm M's records up to its exit, so none of
-        # prepare's ConfigErrors can fire here
-        analysis_set = prepare(slice_for_arm(dataset, M), M)
+        # outside the per-fit try: a generated trial completes arm M, so this
+        # cannot raise
+        analysis_set = slice_for_arm(dataset, M)
         if _shared is not None:
             _shared[index] = analysis_set
     out = []
@@ -271,7 +270,7 @@ class GridSpec:
             out.append((float(lam), c_length, Scenario(
                 config=config, trend=trend, estimators=estimators,
                 hypothesis=hypothesis, replicates=self.replicates,
-                seed=self.seed, label=self.setting,
+                seed=self.seed,
             )))
         return out
 

@@ -31,6 +31,9 @@ THREADS = 2
 ALPHA = 0.025
 MC_SE_NOMINAL = math.sqrt(ALPHA * (1 - ALPHA) / REPS)
 BAND = (ALPHA - 3 * MC_SE_NOMINAL, ALPHA + 3 * MC_SE_NOMINAL)
+# a calendar partition with no boundary at some arm entry misses a stepwise
+# jump: its type I error lies above this
+MISALIGNED_T1E_FLOOR = 0.05
 
 
 def config(d=250, M=3, K=4):
@@ -288,3 +291,34 @@ def test_criterion_11_determinism_across_thread_counts(tmp_path):
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
     print("PASS criterion 11: identical result bytes for 1 and 2 worker processes")
+
+
+def test_criterion_12_calendar_alignment():
+    # setting2a_desk's design; the stepwise trend jumps at each arm entry
+    # (251, 501, 751). Calendar units of 50, 125 and 250 put a boundary at
+    # every entry, 200 and 300 do not. One worker, so the c_length cells
+    # share their datasets.
+    aligned, misaligned = (50.0, 125.0, 250.0), (200.0, 300.0)
+    grid = GridSpec(
+        setting="calendar-alignment", K=4, n=250, M=3,
+        # each cell replaces the placeholder c_length with its own
+        estimators=(ModelSpec("fixed_calendar", c_length=1.0), ModelSpec("fixed_period")),
+        d_values=(250,), patterns=("stepwise",), lambdas=(0.5,),
+        c_lengths=aligned + misaligned, hypotheses=("null",), replicates=REPS, seed=SEED,
+    )
+    started = time.time()
+    rows = run_grid(grid, threads=1)
+    elapsed = time.time() - started
+    calendar = {r["c_length"]: r["reject_rate"] for r in rows if r["estimator"] == "fixed_calendar"}
+    period = {r["reject_rate"] for r in rows if r["estimator"] == "fixed_period"}
+    for c in aligned:
+        assert in_band(calendar[c]), f"c_length={c}: {calendar[c]:.4f} outside {BAND}"
+    for c in misaligned:
+        assert calendar[c] > MISALIGNED_T1E_FLOOR, f"c_length={c}: {calendar[c]:.4f}"
+    (period,) = period  # the same datasets in every cell
+    assert in_band(period), f"fixed_period: {period:.4f} outside {BAND}"
+    print(f"PASS criterion 12: fixed_calendar T1E in [{BAND[0]:.4f}, {BAND[1]:.4f}] at c_length "
+          + ", ".join(f"{c:g}: {calendar[c]:.4f}" for c in aligned)
+          + f"; above {MISALIGNED_T1E_FLOOR} at "
+          + ", ".join(f"{c:g}: {calendar[c]:.4f}" for c in misaligned)
+          + f"; fixed_period {period:.4f} ({elapsed:.1f}s)")

@@ -15,9 +15,9 @@ from platformtrial.analysis import (
     ModelSpec,
     default_model_set,
     fit,
-    prepare,
     results_to_csv,
     results_to_json,
+    slice_for_arm,
 )
 from platformtrial.datagen import (
     TREND_PATTERNS,
@@ -26,7 +26,6 @@ from platformtrial.datagen import (
     empirical_timeline,
     generate_trial,
     read_csv,
-    slice_for_arm,
     write_csv,
 )
 from platformtrial.design import ConfigError, TrialConfig, TrialTimeline
@@ -56,6 +55,11 @@ def manual_dataset(arm, y, t=None):
     j = np.arange(1, arm.size + 1, dtype=np.int64)
     t = j.astype(float) if t is None else np.asarray(t, dtype=float)
     return TrialDataset(j=j, arm=arm, t=t, y=y, timeline=empirical_timeline(arm, t))
+
+
+def manual_set(arm, y, t=None):
+    """The analysis set of arm 1 of a hand-built dataset."""
+    return slice_for_arm(manual_dataset(arm, y, t), 1)
 
 
 class TestModelSpec:
@@ -101,7 +105,7 @@ class TestTwoSampleBaselines:
         rng = np.random.default_rng(0)
         arm = np.array([1, 0] * 29 + [0, 1])
         y = rng.normal(0.0, 1.0, 60) + 0.3 * (arm == 1)
-        ds = manual_dataset(arm, y)
+        ds = manual_set(arm, y)
         fp = fit(ds, 1, ModelSpec("fixed_period"))
         po = pooled(ds, 1)
         se_ = separate(ds, 1)
@@ -113,7 +117,7 @@ class TestTwoSampleBaselines:
     def test_identical_groups_t_zero(self):
         arm = np.array([0, 1] * 10)
         y = np.tile([1.0, 1.0, 2.0, 2.0], 5)
-        r = pooled(manual_dataset(arm, y), 1)
+        r = pooled(manual_set(arm, y), 1)
         assert r.t == 0.0
         assert r.p_one == 0.5
 
@@ -122,14 +126,14 @@ class TestTwoSampleBaselines:
     def test_constant_groups_degenerate(self, name, level):
         # a regression leaves a rounding-level residual here, not an exact zero
         for arm in (np.array([0, 1] * 10), np.array([0, 0, 1] * 7)):
-            ds = manual_dataset(arm, np.where(arm == 1, level, 2.0 * level))
+            ds = manual_set(arm, np.where(arm == 1, level, 2.0 * level))
             with pytest.raises(ConfigError, match="degenerate"):
                 fit(ds, 1, ModelSpec(name))
 
     def test_empty_controls_error(self):
         arm = np.array([1, 1, 1, 1])
         with pytest.raises(ConfigError):
-            pooled(manual_dataset(arm, np.zeros(4)), 1)
+            pooled(manual_set(arm, np.zeros(4)), 1)
 
     def test_ncc_exclusion_identity_for_first_arm(self):
         # for the first-entering arm every control is concurrent
@@ -203,7 +207,7 @@ class TestRankDeficiency:
         # no record in [21, 41): calendar intervals 3 and 4 (c_length 10) are empty
         t = np.r_[np.arange(1.0, 21.0), np.arange(41.0, 61.0)]
         arm = np.tile([0, 2, 0, 1], 10)
-        return manual_dataset(arm, np.random.default_rng(11).normal(size=40), t)
+        return manual_set(arm, np.random.default_rng(11).normal(size=40), t)
 
     @staticmethod
     def duplicate_dataset():
@@ -211,7 +215,7 @@ class TestRankDeficiency:
         t = np.arange(1.0, 41.0)
         arm = np.tile([0, 1], 20)
         arm[10:20] = 2
-        return manual_dataset(arm, np.random.default_rng(12).normal(size=40), t)
+        return manual_set(arm, np.random.default_rng(12).normal(size=40), t)
 
     @pytest.mark.parametrize("estimator", ["fixed_calendar", "mixedint_calendar"])
     @pytest.mark.parametrize("dataset, involved", [
@@ -251,7 +255,7 @@ class TestFitDispatch:
     def test_exact_fit_fails_in_mixed_estimators(self, estimator):
         # the fixed effects reproduce the response: the residual and sigma2 are zero
         arm = np.array([0, 1] * 10)
-        ds = manual_dataset(arm, np.where(arm == 1, 3.7, 7.4))
+        ds = manual_set(arm, np.where(arm == 1, 3.7, 7.4))
         with pytest.raises(np.linalg.LinAlgError):
             fit(ds, 1, ModelSpec(estimator, c_length=5))
 
@@ -261,7 +265,7 @@ class TestFitDispatch:
         # the same exact fit: least squares leaves a residual sum of squares of
         # up to 6.6e-31 y'y here, not zero, and reported an SE of ~1e-15
         arm = np.array([0, 1] * 10)
-        ds = manual_dataset(arm, np.where(arm == 1, 3.7, 7.4))
+        ds = manual_set(arm, np.where(arm == 1, 3.7, 7.4))
         with pytest.raises(ConfigError, match="degenerate"):
             fit(ds, 1, ModelSpec(estimator, c_length=5))
 
@@ -270,11 +274,17 @@ class TestFitDispatch:
         with pytest.raises(ConfigError, match="slice_for_arm"):
             fit(ds, 1, ModelSpec("fixed_period"))
 
+    def test_dataset_input_rejected(self):
+        # a dataset that already ends at arm 1's exit is still not an analysis set
+        ds = manual_dataset(np.array([0, 1] * 10), np.arange(20.0))
+        with pytest.raises(ConfigError, match=r"slice_for_arm\(dataset, 1\)"):
+            fit(ds, 1, ModelSpec("pooled"))
+
     def test_mixed_single_interval_falls_back_to_ols(self):
         rng = np.random.default_rng(7)
         arm = np.array([1, 0] * 39 + [0, 1])
         y = rng.normal(size=80) + 0.2 * (arm == 1)
-        ds = manual_dataset(arm, y)
+        ds = manual_set(arm, y)
         r = fit(ds, 1, ModelSpec("mixed_period"))
         assert r.diagnostics["fallback"] == "ols_single_interval"
         fp = fit(ds, 1, ModelSpec("fixed_period"))
@@ -302,7 +312,7 @@ class TestFitDispatch:
         rng = np.random.default_rng(9)
         arm = np.array([0, 1] * 200)
         y = rng.normal(size=400) - 0.5 * (arm == 1)  # strongly negative effect
-        ds = manual_dataset(arm, y)
+        ds = manual_set(arm, y)
         one = fit(ds, 1, ModelSpec("fixed_period", alpha=0.025, sided="one_greater"))
         two = fit(ds, 1, ModelSpec("fixed_period", alpha=0.025, sided="two"))
         assert not one.reject  # wrong direction
@@ -315,18 +325,11 @@ def every_estimator(c_length=100.0):
 
 
 class TestPrepare:
-    @pytest.mark.parametrize("d", [0, 100, 250])
-    def test_prepared_set_fits_like_the_dataset(self, d):
-        ds = generate_trial(make_config(d=d), TrendSpec("linear", lam=(0.5,) * 5), "alternative", seed=d)
-        for m in (1, 3):
-            sl = slice_for_arm(ds, m)
-            prepared = prepare(sl, m)
-            for spec in every_estimator():
-                assert fit(prepared, m, spec) == fit(sl, m, spec), (m, spec.label)
+    """The analysis set that slice_for_arm makes for every fit."""
 
     def test_fits_leave_a_shared_set_unchanged(self):
-        ds = slice_for_arm(generate_trial(make_config(d=100), TrendSpec.none(4), "null", seed=4), 3)
-        prepared = prepare(ds, 3)
+        ds = generate_trial(make_config(d=100), TrendSpec.none(4), "null", seed=4)
+        prepared = slice_for_arm(ds, 3)
         before = {name: getattr(prepared, name).copy() for name in ("t", "arm", "y")}
         scalars = (prepared.horizon, prepared.origin, prepared.treatments, prepared.m_entry,
                    prepared.period_starts)
@@ -338,30 +341,32 @@ class TestPrepare:
             assert now.dtype == values.dtype and now.tobytes() == values.tobytes(), name
         assert (prepared.horizon, prepared.origin, prepared.treatments, prepared.m_entry,
                 prepared.period_starts) == scalars
-        # the caller's arrays stay writable, whether prepared directly or by fit
-        fit(ds, 3, ModelSpec("fixed_period"))
-        assert all(getattr(ds, name).flags.writeable for name in ("t", "arm", "y"))
+        # the caller's arrays stay writable
+        assert all(getattr(ds, name).flags.writeable for name in ("j", "t", "arm", "y"))
         with pytest.raises(ValueError, match="read-only"):
             prepared.y[0] = 0.0
 
     def test_only_period_estimators_read_the_timeline(self):
         # a hand-built set whose timeline opens no period before arm 1's last
         # record, or that has no timeline, still fits the t-tests
-        sl = slice_for_arm(generate_trial(make_config(d=100), TrendSpec.none(4), "null", seed=6), 1)
+        ds = generate_trial(make_config(d=100), TrendSpec.none(4), "null", seed=6)
+        sl = slice_for_arm(ds, 1)
         late = float(sl.t.max()) + 1
-        no_period = replace(sl, timeline=TrialTimeline(entry=(late,) * 4, exit=(late + 1,) * 4))
-        prepared = prepare(no_period, 1)
+        prepared = slice_for_arm(
+            replace(ds, timeline=TrialTimeline(entry=(late,) * 4, exit=(late + 1,) * 4)), 1
+        )
         assert fit(prepared, 1, ModelSpec("pooled")) == fit(sl, 1, ModelSpec("pooled"))
         with pytest.raises(ConfigError, match="no arms active"):
             fit(prepared, 1, ModelSpec("fixed_period"))
-        no_timeline = prepare(replace(sl, timeline=None), 1)
+        no_timeline = slice_for_arm(replace(ds, timeline=None), 1)
         assert no_timeline.m_entry == float(sl.t[sl.arm == 1].min())
         for spec in (ModelSpec("pooled"), ModelSpec("separate")):
             assert np.isfinite(fit(no_timeline, 1, spec).theta_hat)
 
     def test_set_prepared_for_another_arm_rejected(self):
-        ds = slice_for_arm(generate_trial(make_config(d=100), TrendSpec.none(4), "null", seed=5), 2)
-        prepared = prepare(ds, 2)
+        prepared = slice_for_arm(
+            generate_trial(make_config(d=100), TrendSpec.none(4), "null", seed=5), 2
+        )
         assert isinstance(prepared, AnalysisSet) and prepared.m == 2
         with pytest.raises(ConfigError, match="arm 2.*arm 3"):
             fit(prepared, 3, ModelSpec("fixed_period"))
@@ -386,20 +391,18 @@ class TestKeptFits:
         return slice_for_arm(generate_trial(make_config(d=100), TrendSpec.none(4), "null", seed=seed), 3)
 
     def test_equal_spec_answered_without_refitting(self, builds):
-        sl = self.sliced()
-        prepared = prepare(sl, 3)
+        prepared, fresh = self.sliced(), self.sliced()
         for spec in every_estimator():
             first = fit(prepared, 3, spec)
             done = len(builds)
             # an equal spec, not the same object
             again = fit(prepared, 3, ModelSpec(spec.estimator, c_length=100.0))
             assert len(builds) == done, spec.label
-            assert again == first == fit(sl, 3, spec), spec.label
+            assert again == first == fit(fresh, 3, spec), spec.label
         assert len(prepared.fits) == len(ESTIMATORS)
 
     def test_specs_differing_in_one_option_each_fit(self, builds):
-        sl = self.sliced()
-        prepared = prepare(sl, 3)
+        prepared = self.sliced()
         base = ModelSpec("fixed_calendar", c_length=100.0, alpha=0.5)
         specs = [base, replace(base, alpha=0.3), replace(base, sided="two"),
                  replace(base, c_length=60.0)]
@@ -408,11 +411,11 @@ class TestKeptFits:
         assert [r.reject for r in results[:3]] == [True, False, False]
         assert results[3].theta_hat != results[0].theta_hat
         for spec, result in zip(specs, results):
-            assert fit(prepared, 3, spec) == result == fit(sl, 3, spec)
+            assert fit(prepared, 3, spec) == result == fit(self.sliced(), 3, spec)
 
     def test_failing_spec_raises_on_every_call(self, builds):
         arm = np.array([0, 1] * 10)
-        prepared = prepare(manual_dataset(arm, np.where(arm == 1, 3.7, 7.4)), 1)
+        prepared = manual_set(arm, np.where(arm == 1, 3.7, 7.4))
         for calls in (1, 2, 3):
             with pytest.raises(ConfigError, match="degenerate"):
                 fit(prepared, 1, ModelSpec("fixed_period"))
@@ -420,7 +423,7 @@ class TestKeptFits:
         assert prepared.fits == {}
 
     def test_every_call_gets_its_own_diagnostics(self):
-        prepared = prepare(self.sliced(), 3)
+        prepared = self.sliced()
         spec = ModelSpec("mixed_period")
         first = fit(prepared, 3, spec)
         expected = dict(first.diagnostics)
@@ -431,12 +434,6 @@ class TestKeptFits:
         third = fit(prepared, 3, spec)
         assert third.diagnostics == expected
         assert len({id(r.diagnostics) for r in (first, second, third)}) == 3
-
-    def test_dataset_input_keeps_nothing(self, builds):
-        sl = self.sliced()
-        results = [fit(sl, 3, ModelSpec("fixed_period")) for _ in range(3)]
-        assert len(builds) == 3
-        assert results[0] == results[1] == results[2]
 
 
 class TestMonteCarloProperties:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,10 +13,10 @@ from platformtrial.datagen import (
     empirical_timeline,
     generate_trial,
     read_csv,
-    slice_for_arm,
     trend_value,
     write_csv,
 )
+from platformtrial.analysis import slice_for_arm
 from platformtrial.design import ConfigError, TrialConfig, derive_periods
 
 
@@ -174,7 +176,7 @@ class TestSliceForArm:
         ds = generate_trial(make_config(), TrendSpec.none(4), "null", seed=8)
         last = int(np.argmax(ds.timeline.exit)) + 1
         sl = slice_for_arm(ds, last)
-        assert len(sl) == len(ds)
+        assert sl.y.size == len(ds)
 
     def test_slice_excludes_late_arm(self):
         # arm 4 enters at 751, after arm 1's exit (~667): no arm-4 data in D_1
@@ -193,8 +195,10 @@ class TestSliceForArm:
         ds = generate_trial(make_config(), TrendSpec.none(4), "null", seed=11)
         sl = slice_for_arm(ds, 1)  # arm 3 is still recruiting in D_1
         assert 0 < (sl.arm == 3).sum() < 250
+        cut = ds.t <= sl.horizon
+        d1 = replace(ds, j=ds.j[cut], arm=ds.arm[cut], t=ds.t[cut], y=ds.y[cut])
         with pytest.raises(ConfigError, match="incomplete"):
-            slice_for_arm(sl, 3)
+            slice_for_arm(d1, 3)
 
 
 class TestCsvRoundTrip:

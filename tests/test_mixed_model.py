@@ -306,6 +306,10 @@ def test_objective_matches_dense_oracle_on_random_designs(n, p, m, seed, log10_g
 # a scan with no point in (-34, -10) lost this design's interior optimum
 # near log gamma -11 to the boundary
 @example(n=37, p=2, m=2, seed=855, sd_u=0.0)
+# a bounded search over the whole bracket (1, 34) missed the optimum of these
+# designs: it ended at log gamma 2.19 (optimum 5.06) and 3 (optimum 3.76)
+@example(n=6, p=2, m=6, seed=2, sd_u=3.25)
+@example(n=8, p=3, m=4, seed=4056336260, sd_u=26.31)
 def test_independent_fit_no_worse_than_scan_or_fine_grid_over_its_bracket(n, p, m, seed, sd_u):
     # no group effect (the gamma -> 0 boundary) up to effects 30 noise SDs wide.
     # gamma must be identifiable: Z not absorbed by X, and residual degrees of

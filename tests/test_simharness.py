@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from platformtrial import analysis, blas, simharness
-from platformtrial.analysis import ModelSpec, prepare
-from platformtrial.datagen import TREND_PATTERNS, TrendSpec, generate_trial, slice_for_arm
+from platformtrial.analysis import ModelSpec, slice_for_arm
+from platformtrial.datagen import TREND_PATTERNS, TrendSpec, generate_trial
 from platformtrial.design import ConfigError, TrialConfig
 from platformtrial.simharness import (
     GridSpec,
@@ -296,12 +296,12 @@ class TestSharedAnalysisSets:
         data=st.data(),
     )
     def test_prepare_cannot_fail_after_slice_for_arm(self, K, d, n, pattern, seed, data):
-        # run_replicate prepares outside the per-fit try: a ConfigError there
+        # run_replicate slices outside the per-fit try: a ConfigError there
         # would end the run instead of counting as a failed fit
         M = data.draw(st.integers(min_value=1, max_value=K), label="M")
         cfg = TrialConfig(K=K, d=d, n=n, eta0=0.0, theta=(0.25,) * K, sigma=1.0, M=M)
         trend = TrendSpec(pattern, (0.3,) * (K + 1), n_p=2, psi=1.0)
-        prepared = prepare(slice_for_arm(generate_trial(cfg, trend, "null", seed=seed), M), M)
+        prepared = slice_for_arm(generate_trial(cfg, trend, "null", seed=seed), M)
         assert prepared.m == M and prepared.period_starts[0] == 1.0
 
 
