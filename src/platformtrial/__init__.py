@@ -26,7 +26,16 @@ from .design import (
     entry_times,
 )
 from .mixed_model import MixedFit, reml_fit
-from .regression_engine import OlsFit, RankDeficiencyError, build_design, ols_fit, t_sf, t_test, wald_test
+from .regression_engine import (
+    OlsFit,
+    RankDeficiencyError,
+    build_design,
+    cell_ols,
+    ols_fit,
+    t_sf,
+    t_test,
+    wald_test,
+)
 from .simharness import GridSpec, OperatingCharacteristics, Scenario, run_grid, run_scenario
 from .spline import SplineBasis, basis_matrix, knots_at
 
@@ -51,6 +60,7 @@ __all__ = [
     "TrialTimeline",
     "basis_matrix",
     "build_design",
+    "cell_ols",
     "default_model_set",
     "derive_calendar",
     "derive_periods",

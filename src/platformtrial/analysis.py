@@ -4,7 +4,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -13,7 +13,7 @@ import numpy as np
 from . import mixed_model, spline
 from .datagen import TrialDataset
 from .design import ConfigError, TrialTimeline, derive_calendar, derive_periods
-from .regression_engine import build_design, ols_fit, wald_test
+from .regression_engine import OlsFit, build_design, cell_ols, ols_fit, wald_test
 
 
 @dataclass(frozen=True)
@@ -203,11 +203,13 @@ def fit(data: AnalysisSet, m: int, spec: ModelSpec) -> FitResult:
     kept = data.fits.get(spec)
     if kept is None:
         kept = data.fits[spec] = _fit(data, spec)
-    return replace(kept, diagnostics=dict(kept.diagnostics))
+    return FitResult(kept.estimator, kept.arm, kept.theta_hat, kept.se, kept.t, kept.p_one,
+                     kept.p_two, kept.reject, dict(kept.diagnostics))
 
 
 def _fit(prep: AnalysisSet, spec: ModelSpec) -> FitResult:
     kind, m = spec.kind, prep.m
+    estimate = None
     if kind.timescale is None:
         # regress on arm m's records and all (pooled) or the concurrent
         # (separate) controls, those randomized from arm m's entry on
@@ -220,7 +222,8 @@ def _fit(prep: AnalysisSet, spec: ModelSpec) -> FitResult:
             raise ConfigError("no control records available for the t-test")
         in_arm = prep.arm == m
         rows = in_arm | controls
-        dm = build_design(prep.t[rows], prep.arm[rows], prep.y[rows], treatments=(m,))
+        y = prep.y[rows]
+        dm = build_design(prep.t[rows], prep.arm[rows], y, treatments=(m,))
         diag.update(n_treatment=int(in_arm.sum()), n_controls=int(controls.sum()))
     else:
         if kind.timescale == "period":
@@ -228,7 +231,11 @@ def _fit(prep: AnalysisSet, spec: ModelSpec) -> FitResult:
         else:
             starts = derive_calendar(prep.horizon, spec.c_length, start=prep.origin)
         diag = {"n_intervals": len(starts)}
-        if kind.family == "spline":
+        y = prep.y
+        if kind.family == "fixed":
+            estimate = cell_ols(prep.t, prep.arm, y, prep.treatments,
+                                adjustment=kind.timescale, starts=starts, horizon=prep.horizon)
+        elif kind.family == "spline":
             basis = spline.knots_at(starts, prep.horizon, degree=spec.spline_degree)
             dm = build_design(
                 prep.t, prep.arm, prep.y, prep.treatments, adjustment="spline", basis=basis
@@ -237,14 +244,12 @@ def _fit(prep: AnalysisSet, spec: ModelSpec) -> FitResult:
         else:
             # mixed carries time in random interval intercepts only; mixedint keeps
             # the fixed interval effects and adds random treatment-by-interval terms
-            fixed_time = kind.family in ("fixed", "mixedint")
             dm = build_design(
                 prep.t, prep.arm, prep.y, prep.treatments,
-                adjustment=kind.timescale if fixed_time else "none",
+                adjustment=kind.timescale if kind.family == "mixedint" else "none",
                 starts=starts, horizon=prep.horizon,
             )
 
-    estimate = None
     if kind.family in ("mixed", "mixedint"):
         try:
             groups, labels = mixed_model.build_random_design(
@@ -267,13 +272,15 @@ def _fit(prep: AnalysisSet, spec: ModelSpec) -> FitResult:
                 diag["rho"] = estimate.rho
     if estimate is None:
         estimate = ols_fit(dm)
+    n = y.size
+    if isinstance(estimate, OlsFit):
         # an exact fit leaves a residual of rounding noise, of order at most
         # (n eps)^2 y'y, instead of the zero it is
-        n = len(dm.y)
-        if estimate.sigma2_hat * estimate.df <= (n * _EPS) ** 2 * float(dm.y @ dm.y):
+        if estimate.sigma2_hat * estimate.df <= (n * _EPS) ** 2 * float(y @ y):
             raise ConfigError("degenerate test: zero standard error")
     wt = wald_test(estimate, f"trt{m}", sided=spec.sided, alpha=spec.alpha)
-    diag.update(df=estimate.df, n_obs=len(dm.y), n_columns=dm.X.shape[1])
+    # every fit has df = n - p, also the REML fits
+    diag.update(df=estimate.df, n_obs=n, n_columns=n - estimate.df)
     return FitResult(spec.label, m, *wt, diagnostics=diag)
 
 

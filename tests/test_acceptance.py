@@ -34,6 +34,30 @@ BAND = (ALPHA - 3 * MC_SE_NOMINAL, ALPHA + 3 * MC_SE_NOMINAL)
 # a calendar partition with no boundary at some arm entry misses a stepwise
 # jump: its type I error lies above this
 MISALIGNED_T1E_FLOOR = 0.05
+# an inflated type I error lies above this (criteria 3, 5, 7), a deflated one
+# below DEFLATED_T1E_CEILING (criterion 3)
+INFLATED_T1E_FLOOR = 0.040
+DEFLATED_T1E_CEILING = 0.015
+# criterion 1: separate's power without trend, and the run's time limit
+SEPARATE_POWER = 0.798
+SEPARATE_POWER_TOL = 0.03
+SEPARATE_POWER_MAX_SECONDS = 60.0
+# criterion 4: powers this many MC SEs apart count as equal; criterion 8:
+# mixedint lies at least this many below fixed_period
+MC_SE_MARGIN = 2
+# criterion 6: the least gain in power of the cubic spline over fixed_period
+SPLINE_POWER_GAIN = 0.015
+# criterion 9: the realized trial size, each within one maximal block
+# (2 * (3 active + 1)) of it, and their mean within TRIAL_SIZE_MEAN_TOL
+TRIAL_SIZE = 1528
+TRIAL_SIZE_BLOCK = 8
+TRIAL_SIZE_MEAN_TOL = 2.0
+# criterion 10: the oracle tolerances of OLS, the B-spline basis, REML and
+# the Student-t tail
+OLS_ORACLE_TOL = 1e-8
+SPLINE_ORACLE_TOL = 1e-12
+REML_ORACLE_TOL = 1e-6
+T_SF_ORACLE_TOL = 1e-10
 
 
 def config(d=250, M=3, K=4):
@@ -92,9 +116,10 @@ def test_criterion_01_separate_power_anchor():
     )
     elapsed = time.time() - started
     power = oc.per_estimator["separate"].reject_rate
-    assert abs(power - 0.798) <= 0.03
-    assert elapsed < 60.0
-    print(f"PASS criterion 1: separate power {power:.4f} in 0.798 +/- 0.03 ({elapsed:.0f}s)")
+    assert abs(power - SEPARATE_POWER) <= SEPARATE_POWER_TOL
+    assert elapsed < SEPARATE_POWER_MAX_SECONDS
+    print(f"PASS criterion 1: separate power {power:.4f} in {SEPARATE_POWER} +/- "
+          f"{SEPARATE_POWER_TOL} ({elapsed:.0f}s)")
 
 
 def test_criterion_02_fixed_period_type_one_error(linear_lambda_grid):
@@ -108,9 +133,10 @@ def test_criterion_02_fixed_period_type_one_error(linear_lambda_grid):
 def test_criterion_03_pooled_inflation_direction(linear_lambda_grid):
     up = linear_lambda_grid[0.5]["pooled"]
     down = linear_lambda_grid[-0.5]["pooled"]
-    assert up > 0.040
-    assert down < 0.015
-    print(f"PASS criterion 3: pooled T1E {up:.4f} > 0.040 at +0.5, {down:.4f} < 0.015 at -0.5")
+    assert up > INFLATED_T1E_FLOOR
+    assert down < DEFLATED_T1E_CEILING
+    print(f"PASS criterion 3: pooled T1E {up:.4f} > {INFLATED_T1E_FLOOR} at +0.5, "
+          f"{down:.4f} < {DEFLATED_T1E_CEILING} at -0.5")
 
 
 def test_criterion_04_power_ordering_with_overlap():
@@ -126,11 +152,11 @@ def test_criterion_04_power_ordering_with_overlap():
     for d, (fixed, sep) in rates.items():
         mc_se = math.sqrt(sep * (1 - sep) / REPS)
         if d in (0, 500):
-            assert abs(fixed - sep) <= 2 * mc_se, f"d={d}: {fixed:.4f} vs {sep:.4f}"
+            assert abs(fixed - sep) <= MC_SE_MARGIN * mc_se, f"d={d}: {fixed:.4f} vs {sep:.4f}"
         else:
             assert fixed >= sep, f"d={d}: {fixed:.4f} < {sep:.4f}"
     print("PASS criterion 4: fixed_period power >= separate at d=125/250, "
-          "equal within 2 mc_se at d=0/500: "
+          f"equal within {MC_SE_MARGIN} mc_se at d=0/500: "
           + ", ".join(f"d={d}: {f:.3f}/{s:.3f}" for d, (f, s) in rates.items()))
 
 
@@ -148,10 +174,10 @@ def test_criterion_05_spline_smooth_control_stepwise_inflation():
         assert st.failures == 0
     for pattern in ("linear", "inverted_u", "seasonal"):
         assert in_band(rates[pattern]), f"{pattern}: {rates[pattern]:.4f} outside {BAND}"
-    assert rates["stepwise"] > 0.04
+    assert rates["stepwise"] > INFLATED_T1E_FLOOR
     print("PASS criterion 5: cubic spline T1E "
           + ", ".join(f"{p}={r:.4f}" for p, r in rates.items())
-          + f" (smooth in band, stepwise > 0.04)")
+          + f" (smooth in band, stepwise > {INFLATED_T1E_FLOOR})")
 
 
 def test_criterion_06_spline_power_gain_at_zero_overlap():
@@ -163,16 +189,16 @@ def test_criterion_06_spline_power_gain_at_zero_overlap():
     )
     spline = oc.per_estimator["spline_period_q3"].reject_rate
     fixed = oc.per_estimator["fixed_period"].reject_rate
-    assert spline - fixed >= 0.015
+    assert spline - fixed >= SPLINE_POWER_GAIN
     print(f"PASS criterion 6: spline power {spline:.4f} exceeds fixed_period {fixed:.4f} "
-          f"by {100 * (spline - fixed):.2f}pp >= 1.5pp")
+          f"by {100 * (spline - fixed):.2f}pp >= {100 * SPLINE_POWER_GAIN:.1f}pp")
 
 
 def test_criterion_07_mixed_models_miscontrol(mixed_lambda_grid):
     inflated = mixed_lambda_grid[0.5]
     calm = mixed_lambda_grid[0.0]
     for label in ("mixed_period", "mixed_calendar"):
-        assert inflated[label].reject_rate > 0.040, (
+        assert inflated[label].reject_rate > INFLATED_T1E_FLOOR, (
             f"{label} at lambda=0.5: {inflated[label].reject_rate:.4f}"
         )
         assert in_band(calm[label].reject_rate), (
@@ -180,7 +206,7 @@ def test_criterion_07_mixed_models_miscontrol(mixed_lambda_grid):
         )
     print("PASS criterion 7: mixed T1E at lambda=0.5 "
           f"period={inflated['mixed_period'].reject_rate:.4f}, "
-          f"calendar={inflated['mixed_calendar'].reject_rate:.4f} (> 0.040); "
+          f"calendar={inflated['mixed_calendar'].reject_rate:.4f} (> {INFLATED_T1E_FLOOR}); "
           f"at lambda=0 in band: {calm['mixed_period'].reject_rate:.4f}, "
           f"{calm['mixed_calendar'].reject_rate:.4f}")
 
@@ -199,45 +225,46 @@ def test_criterion_08_interaction_mixed_reduces_inflation():
     mc_se_fixed = math.sqrt(fixed * (1 - fixed) / REPS)
     assert mixedint > BAND[1]
     assert mixedint < fixed
-    assert fixed - mixedint >= 2 * mc_se_fixed
+    assert fixed - mixedint >= MC_SE_MARGIN * mc_se_fixed
     print(f"PASS criterion 8: mixedint_period T1E {mixedint:.4f} in ({BAND[1]:.4f}, "
-          f"{fixed:.4f}), below fixed_period by {fixed - mixedint:.4f} >= {2 * mc_se_fixed:.4f}")
+          f"{fixed:.4f}), below fixed_period by {fixed - mixedint:.4f} "
+          f">= {MC_SE_MARGIN * mc_se_fixed:.4f}")
 
 
 def test_criterion_09_trial_size_anchor():
     sizes = [len(generate_trial(config(), TrendSpec.none(4), "null", seed=s))
              for s in range(100)]
     # the discard rule interacts with final-arm completion: realized totals
-    # stay within one maximal block (2 * (3 active + 1) = 8) of 1528
-    assert all(abs(n - 1528) <= 8 for n in sizes)
-    assert abs(np.mean(sizes) - 1528) <= 2.0
+    # stay within one maximal block of the target
+    assert all(abs(n - TRIAL_SIZE) <= TRIAL_SIZE_BLOCK for n in sizes)
+    assert abs(np.mean(sizes) - TRIAL_SIZE) <= TRIAL_SIZE_MEAN_TOL
     print(f"PASS criterion 9: realized N in [{min(sizes)}, {max(sizes)}], "
-          f"mean {np.mean(sizes):.1f}, all within one block of 1528")
+          f"mean {np.mean(sizes):.1f}, all within one block of {TRIAL_SIZE}")
 
 
 def test_criterion_10_oracle_suites():
     rng = np.random.default_rng(SEED)
-    # OLS vs explicit normal equations and vs pivoted QR, 1e-8
+    # OLS vs explicit normal equations and vs pivoted QR
     X = np.column_stack([np.ones(200), rng.normal(size=(200, 4))])
     y = rng.normal(size=200)
     fit = ols_fit(DesignMatrix(X=X, y=y, columns=tuple("abcde")))
     for oracle in (normal_equations_ols, qr_ols):
         beta_o, cov_o, _, _ = oracle(X, y)
-        assert np.abs(fit.beta - beta_o).max() < 1e-8
-        assert np.abs(fit.cov - cov_o).max() < 1e-8
+        assert np.abs(fit.beta - beta_o).max() < OLS_ORACLE_TOL
+        assert np.abs(fit.cov - cov_o).max() < OLS_ORACLE_TOL
 
-    # B-spline basis vs naive recursion 1e-12, partition of unity 1e-12
+    # B-spline basis vs naive recursion, partition of unity
     inner = tuple(sorted(rng.uniform(5.0, 95.0, size=4)))
     basis = SplineBasis(degree=3, inner_knots=inner, boundary=(0.0, 100.0))
     times = rng.uniform(0.0, 99.99, size=60)
     B = basis_matrix(times, basis)
     knots = basis.padded_knots()
     for row, x in zip(B, times):
-        assert np.abs(row - naive_basis_row(float(x), 3, knots)).max() < 1e-12
+        assert np.abs(row - naive_basis_row(float(x), 3, knots)).max() < SPLINE_ORACLE_TOL
     grid_t = np.linspace(0.0, 100.0, 401)
-    assert np.abs(basis_matrix(grid_t, basis).sum(axis=1) - 1.0).max() < 1e-12
+    assert np.abs(basis_matrix(grid_t, basis).sum(axis=1) - 1.0).max() < SPLINE_ORACLE_TOL
 
-    # REML vs 2-D grid search 1e-6 and vs balanced ANOVA closed form 1e-6
+    # REML vs 2-D grid search and vs balanced ANOVA closed form
     g, m_per = 6, 10
     u = rng.normal(0.0, 0.8, g)
     y1 = np.concatenate([2.0 + ui + rng.normal(0.0, 1.0, m_per) for ui in u])
@@ -247,7 +274,8 @@ def test_criterion_10_oracle_suites():
     ybar_i = y1.reshape(g, m_per).mean(axis=1)
     msb = m_per * ((ybar_i - y1.mean()) ** 2).sum() / (g - 1)
     msw = ((y1.reshape(g, m_per) - ybar_i[:, None]) ** 2).sum() / (g * m_per - g)
-    assert anova_fit.sigma2_random == pytest.approx(max(0.0, (msb - msw) / m_per), abs=1e-6)
+    assert anova_fit.sigma2_random == pytest.approx(max(0.0, (msb - msw) / m_per),
+                                                    abs=REML_ORACLE_TOL)
 
     n, m = 60, 3
     X2 = np.column_stack([np.ones(n), rng.normal(size=(n, 1))])
@@ -261,12 +289,12 @@ def test_criterion_10_oracle_suites():
         for lg in np.linspace(-12.0, 5.0, 50)
         for z in np.linspace(-2.6, 2.6, 50)
     )
-    assert ours <= grid_best + 1e-6
+    assert ours <= grid_best + REML_ORACLE_TOL
 
-    # Student-t CDF vs quadrature 1e-10
+    # Student-t CDF vs quadrature
     for df in (1, 3, 10, 120, 498):
         for t in (-4.0, -1.2, 0.0, 0.8, 2.5, 4.0):
-            assert t_sf(t, df) == pytest.approx(t_sf_quad(t, df), abs=1e-10)
+            assert t_sf(t, df) == pytest.approx(t_sf_quad(t, df), abs=T_SF_ORACLE_TOL)
 
     # AR(1) positive definite across the rho grid up to +/- 0.99
     for m_ in (2, 10, 40):

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -28,11 +29,11 @@ from platformtrial.datagen import (
     read_csv,
     write_csv,
 )
-from platformtrial.design import ConfigError, TrialConfig, TrialTimeline
-from platformtrial.regression_engine import RankDeficiencyError
+from platformtrial.design import ConfigError, TrialConfig, TrialTimeline, derive_calendar
+from platformtrial.regression_engine import RankDeficiencyError, build_design, ols_fit
 from platformtrial.simharness import Scenario, run_scenario
 
-from oracles import two_sample_t
+from oracles import qr_ols, two_sample_t
 
 
 def make_config(**kw):
@@ -196,6 +197,74 @@ def test_t_tests_match_closed_form_oracle(K, d, seed, data):
         assert r.t == pytest.approx(estimate / se, rel=1e-12, abs=1e-12), name
         assert r.diagnostics["df"] == df, name
         assert r.diagnostics["n_controls"] == int(controls.sum()), name
+
+
+def row_level_design(sl, spec):
+    """The row-level design of a least-squares estimator on the analysis set ``sl``."""
+    kind = spec.kind
+    if kind.timescale is None:
+        controls = sl.arm == 0
+        if kind.family == "separate":
+            controls &= sl.t >= sl.m_entry
+        rows = (sl.arm == sl.m) | controls
+        return build_design(sl.t[rows], sl.arm[rows], sl.y[rows], treatments=(sl.m,))
+    if kind.timescale == "period":
+        starts = sl.period_starts
+    else:
+        starts = derive_calendar(sl.horizon, spec.c_length, start=sl.origin)
+    return build_design(sl.t, sl.arm, sl.y, sl.treatments, adjustment=kind.timescale,
+                        starts=starts, horizon=sl.horizon)
+
+
+def imported(ds, rng):
+    """``ds`` as read from a file: records shuffled, times real-valued and
+    the arms relabeled, so that they enter out of label order."""
+    labels = np.r_[0, rng.permutation(len(ds.timeline.entry)) + 1]
+    order = rng.permutation(len(ds))
+    arm = labels[ds.arm][order]
+    t = (ds.t + rng.uniform(0.0, 0.9, len(ds)))[order]
+    return TrialDataset(j=ds.j[order], arm=arm, t=t, y=ds.y[order],
+                        timeline=empirical_timeline(arm, t))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    K=st.integers(min_value=2, max_value=8),
+    d=st.integers(min_value=0, max_value=300),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    from_file=st.booleans(),
+    data=st.data(),
+)
+def test_least_squares_fits_match_pivoted_qr_oracle(K, d, seed, from_file, data):
+    # the fixed fits (from cell statistics) and the t-tests against a QR
+    # solve of the row-level design
+    cfg = TrialConfig(K=K, d=d, n=30, eta0=0.0, theta=(0.3,) * K, sigma=1.0, M=K)
+    trend = TrendSpec("linear", tuple(0.2 * k for k in range(K + 1)))
+    ds = generate_trial(cfg, trend, "alternative", seed=seed)
+    if from_file:
+        ds = imported(ds, np.random.default_rng(seed))
+    m = data.draw(st.integers(min_value=1, max_value=K), label="m")
+    c_length = data.draw(st.floats(min_value=1.0, max_value=1000.0), label="c_length")
+    sl = slice_for_arm(ds, m)
+    for spec in (ModelSpec("fixed_period"), ModelSpec("fixed_calendar", c_length=c_length),
+                 ModelSpec("pooled"), ModelSpec("separate")):
+        dm = row_level_design(sl, spec)
+        try:
+            ols_fit(dm)
+        except (ConfigError, RankDeficiencyError) as exc:
+            # short c_lengths: more columns than records, or empty intervals
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                fit(sl, m, spec)
+            continue
+        r = fit(sl, m, spec)
+        beta, cov, _, df = qr_ols(dm.X, dm.y)
+        i = dm.columns.index(f"trt{m}")
+        se = math.sqrt(cov[i, i])
+        # relative to the estimate, or to its SE where the estimate is near zero
+        assert abs(r.theta_hat - beta[i]) <= 1e-10 * max(abs(beta[i]), se), spec.label
+        assert r.se == pytest.approx(se, rel=1e-10), spec.label
+        diag = r.diagnostics
+        assert (diag["df"], diag["n_obs"], diag["n_columns"]) == (df, *dm.X.shape), spec.label
 
 
 class TestRankDeficiency:
@@ -374,52 +443,52 @@ class TestPrepare:
 
 class TestKeptFits:
     @pytest.fixture
-    def builds(self, monkeypatch):
-        """Every build_design call that fit makes, i.e. every fit actually run."""
+    def core_calls(self, monkeypatch):
+        """Every call of the fitting core that fit makes, i.e. every fit actually run."""
         calls = []
-        real_build_design = analysis.build_design
+        real_fit = analysis._fit
 
-        def counting_build_design(*args, **kwargs):
+        def counting_fit(*args, **kwargs):
             calls.append(args)
-            return real_build_design(*args, **kwargs)
+            return real_fit(*args, **kwargs)
 
-        monkeypatch.setattr(analysis, "build_design", counting_build_design)
+        monkeypatch.setattr(analysis, "_fit", counting_fit)
         return calls
 
     @staticmethod
     def sliced(seed=4):
         return slice_for_arm(generate_trial(make_config(d=100), TrendSpec.none(4), "null", seed=seed), 3)
 
-    def test_equal_spec_answered_without_refitting(self, builds):
+    def test_equal_spec_answered_without_refitting(self, core_calls):
         prepared, fresh = self.sliced(), self.sliced()
         for spec in every_estimator():
             first = fit(prepared, 3, spec)
-            done = len(builds)
+            done = len(core_calls)
             # an equal spec, not the same object
             again = fit(prepared, 3, ModelSpec(spec.estimator, c_length=100.0))
-            assert len(builds) == done, spec.label
+            assert len(core_calls) == done, spec.label
             assert again == first == fit(fresh, 3, spec), spec.label
         assert len(prepared.fits) == len(ESTIMATORS)
 
-    def test_specs_differing_in_one_option_each_fit(self, builds):
+    def test_specs_differing_in_one_option_each_fit(self, core_calls):
         prepared = self.sliced()
         base = ModelSpec("fixed_calendar", c_length=100.0, alpha=0.5)
         specs = [base, replace(base, alpha=0.3), replace(base, sided="two"),
                  replace(base, c_length=60.0)]
         results = [fit(prepared, 3, spec) for spec in specs]
-        assert len(builds) == len(specs) and len(prepared.fits) == len(specs)
+        assert len(core_calls) == len(specs) and len(prepared.fits) == len(specs)
         assert [r.reject for r in results[:3]] == [True, False, False]
         assert results[3].theta_hat != results[0].theta_hat
         for spec, result in zip(specs, results):
             assert fit(prepared, 3, spec) == result == fit(self.sliced(), 3, spec)
 
-    def test_failing_spec_raises_on_every_call(self, builds):
+    def test_failing_spec_raises_on_every_call(self, core_calls):
         arm = np.array([0, 1] * 10)
         prepared = manual_set(arm, np.where(arm == 1, 3.7, 7.4))
         for calls in (1, 2, 3):
             with pytest.raises(ConfigError, match="degenerate"):
                 fit(prepared, 1, ModelSpec("fixed_period"))
-            assert len(builds) == calls
+            assert len(core_calls) == calls
         assert prepared.fits == {}
 
     def test_every_call_gets_its_own_diagnostics(self):

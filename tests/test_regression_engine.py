@@ -5,11 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from platformtrial import regression_engine
 from platformtrial.design import ConfigError
 from platformtrial.regression_engine import (
     DesignMatrix,
     RankDeficiencyError,
     build_design,
+    cell_ols,
     ols_fit,
     t_sf,
     t_test,
@@ -154,6 +156,123 @@ def test_ols_matches_pivoted_qr_on_indicator_designs(K, n, n_starts, seed):
     assert dm.X[:, -1].sum() == 1.0
     assume(np.linalg.matrix_rank(dm.X) == dm.X.shape[1])
     assert_matches_qr_oracle(dm.X, dm.y)
+
+
+def fit_outcome(fit_of, *design):
+    try:
+        return fit_of(*design)
+    except (ConfigError, RankDeficiencyError) as exc:
+        return exc
+
+
+def row_level_fit(*design):
+    return ols_fit(build_design(*design))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    K=st.integers(min_value=1, max_value=4),
+    n=st.integers(min_value=2, max_value=40),
+    span=st.integers(min_value=1, max_value=20),
+    n_starts=st.integers(min_value=0, max_value=6),
+    adjustment=st.sampled_from(["none", "period", "calendar"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    data=st.data(),
+)
+def test_cell_ols_decides_and_fits_like_ols_fit(K, n, span, n_starts, adjustment, seed, data):
+    # small designs with unsorted, tied and real-valued times, empty intervals,
+    # absent treatments and arms outside the treatments: the same error, with
+    # the same columns, or the same fit
+    rng = np.random.default_rng(seed)
+    times = rng.integers(1, span + 1, n) + rng.choice([0.0, 0.5], n)
+    arms = rng.integers(0, K + 1, n)
+    treatments = sorted(data.draw(st.sets(st.integers(1, K), min_size=1), label="treatments"))
+    inner = rng.uniform(times.min(), times.max(), n_starts)
+    starts = tuple(sorted({times.min(), *inner}))
+    y = 0.5 * arms + 0.1 * times + rng.normal(size=n)
+    design = (times, arms, y, treatments, adjustment, starts, times.max())
+    rows, cells = fit_outcome(row_level_fit, *design), fit_outcome(cell_ols, *design)
+    if isinstance(rows, Exception):
+        assert type(cells) is type(rows) and str(cells) == str(rows)
+        return
+    a = len(treatments) + 1
+    assert cells.columns == rows.columns[:a] and cells.df == rows.df
+    # both solve the normal equations, whose error grows with cond(X'X), up
+    # to a cap that keeps the check strict on ill-conditioned designs
+    tol = min(1e-12 * np.linalg.cond(build_design(*design).X) ** 2, 1e-8)
+    assert np.abs(cells.beta - rows.beta[:a]).max() <= tol * np.abs(rows.beta).max()
+    assert np.abs(cells.cov - rows.cov[:a, :a]).max() <= tol * np.abs(rows.cov).max()
+    assert cells.sigma2_hat == pytest.approx(rows.sigma2_hat, rel=tol)
+
+
+@pytest.mark.parametrize("tol_ratio, raises", [(0.5, False), (2.0, True)],
+                         ids=["rule_passes", "rule_fails"])
+def test_cell_ols_decides_unproven_designs_by_the_exact_rule(monkeypatch, tol_ratio, raises):
+    # a rank tolerance next to the design's eigenvalue ratio: the bound cannot
+    # prove the rule, so the eigenvalues of the exact X'X decide, as in ols_fit
+    rng = np.random.default_rng(14)
+    times = np.arange(1.0, 61.0)
+    arms = rng.integers(0, 3, 60)
+    design = (times, arms, rng.normal(size=60), [1, 2], "period", (1.0, 21.0, 41.0), 60.0)
+    X = build_design(*design).X
+    lam = np.linalg.eigvalsh(X.T @ X)
+    monkeypatch.setattr(regression_engine, "RANK_TOL", tol_ratio * lam[0] / lam[-1])
+    exact = []
+    real_solve = regression_engine._solve_normal_equations
+
+    def counting_solve(*args):
+        exact.append(args)
+        return real_solve(*args)
+
+    monkeypatch.setattr(regression_engine, "_solve_normal_equations", counting_solve)
+    rows, cells = fit_outcome(row_level_fit, *design), fit_outcome(cell_ols, *design)
+    assert len(exact) == 2  # once in each fit
+    assert np.array_equal(exact[0][0], exact[1][0])  # the same X'X
+    if raises:
+        assert isinstance(rows, RankDeficiencyError) and cells.columns == rows.columns
+    else:
+        assert cells.columns == rows.columns[:3]
+        assert np.allclose(cells.beta, rows.beta[:3], rtol=1e-12, atol=0)
+        assert np.allclose(cells.cov, rows.cov[:3, :3], rtol=1e-12, atol=0)
+        assert cells.sigma2_hat == pytest.approx(rows.sigma2_hat, rel=1e-12)
+
+
+class TestCellOlsRankDeficiency:
+    """Designs that ``ols_fit`` rejects: ``cell_ols`` names the same columns."""
+
+    @staticmethod
+    def empty_interval():
+        # no record in [21, 41)
+        t = np.r_[np.arange(1.0, 21.0), np.arange(41.0, 61.0)]
+        return t, np.tile([0, 2, 0, 1], 10), (1.0, 11.0, 21.0, 31.0, 41.0, 51.0)
+
+    @staticmethod
+    def arm_in_one_interval():
+        # arm 2 holds every record of [11, 21) and no other
+        arm = np.tile([0, 1], 20)
+        arm[10:20] = 2
+        return np.arange(1.0, 41.0), arm, (1.0, 11.0, 21.0, 31.0)
+
+    @staticmethod
+    def single_control_record():
+        # the one control record is alone in the first interval
+        arm = np.r_[0, np.tile([1, 2], 15)]
+        return np.arange(1.0, 32.0), arm, (1.0, 2.0, 12.0, 22.0)
+
+    @pytest.mark.parametrize("design, involved", [
+        ("empty_interval", ["cal3", "cal4"]),
+        ("arm_in_one_interval", ["trt2", "cal2"]),
+        ("single_control_record", ["trt1", "trt2", "cal2", "cal3", "cal4"]),
+    ])
+    def test_names_the_columns_ols_fit_names(self, design, involved):
+        t, arm, starts = getattr(self, design)()
+        y = np.random.default_rng(13).normal(size=t.size)
+        args = (t, arm, y, [1, 2], "calendar", starts, t.max())
+        with pytest.raises(RankDeficiencyError) as rows:
+            row_level_fit(*args)
+        with pytest.raises(RankDeficiencyError) as cells:
+            cell_ols(*args)
+        assert cells.value.columns == rows.value.columns == involved
 
 
 class TestBuildDesign:

@@ -38,6 +38,29 @@ def test_reml_fit_by_fit_compares_a_tree_with_itself(tmp_path):
         assert all(float(ms) > 0 for ms in ms_p50)
 
 
+def test_fit_timing_compares_a_tree_with_itself(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "schema": 1,
+        "setting": "timing-smoke",
+        "trial": {"K": 2, "d": [20], "n": 20, "eta0": 0.0, "sigma": 1.0, "M": 2, "effect": 0.25},
+        "trend": {"patterns": ["linear"], "lambda": [0.5]},
+        "calendar": {"c_length": [10, 25]},
+        "models": [{"estimator": "fixed_calendar"}, {"estimator": "separate"}],
+        "run": {"hypotheses": ["null"], "replicates": 3, "seed": 7},
+    }))
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "fit_timing.py"), str(ROOT), str(config)],
+        capture_output=True, text=True, check=True, timeout=300,
+    ).stdout.splitlines()
+    assert out[0].split() == ["estimator", "c_length", "us_parent", "us_change", "ratio"]
+    rows = [line.split() for line in out[1:]]
+    # one row per distinct spec of the group: separate ignores c_length
+    assert [row[:2] for row in rows] == [
+        ["fixed_calendar", "10"], ["separate", "-"], ["fixed_calendar", "25"]]
+    assert all(float(us) > 0 for row in rows for us in row[2:])
+
+
 sys.path.insert(0, str(ROOT / "scripts"))
 import bench_pairs  # noqa: E402
 import grid_cmp  # noqa: E402

@@ -246,22 +246,22 @@ class TestSharedAnalysisSets:
         # per replicate, the 3 cells call fit 4 times each, but spline_period
         # and separate ignore c_length: 3 + 1 + 3 + 1 distinct fits
         grid = self.grid(replicates=2)
-        fits, builds = [], []
-        real_fit, real_build_design = simharness.fit, analysis.build_design
+        fits, core_calls = [], []
+        real_fit, real_core = simharness.fit, analysis._fit
 
         def counting_fit(*args):
             fits.append(args)
             return real_fit(*args)
 
-        def counting_build_design(*args, **kwargs):
-            builds.append(args)
-            return real_build_design(*args, **kwargs)
+        def counting_core(*args, **kwargs):
+            core_calls.append(args)
+            return real_core(*args, **kwargs)
 
         monkeypatch.setattr(simharness, "fit", counting_fit)
-        monkeypatch.setattr(analysis, "build_design", counting_build_design)
+        monkeypatch.setattr(analysis, "_fit", counting_core)
         run_grid(grid, threads=1)
         assert len(fits) == 2 * grid.replicates * 3 * 4
-        assert len(builds) == 2 * grid.replicates * 8
+        assert len(core_calls) == 2 * grid.replicates * 8
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_cells_share_a_mapping_only_within_a_data_key_group(self, monkeypatch, threads):
