@@ -251,19 +251,19 @@ def _fit(prep: AnalysisSet, spec: ModelSpec) -> FitResult:
             )
 
     if kind.family in ("mixed", "mixedint"):
+        groups, labels = mixed_model.build_random_design(
+            prep.t, prep.arm,
+            grouping="interaction" if kind.family == "mixedint" else "interval",
+            starts=starts, horizon=prep.horizon,
+            treatments=prep.treatments, exclude_arm=m,
+        )
         try:
-            groups, labels = mixed_model.build_random_design(
-                prep.t, prep.arm,
-                grouping="interaction" if kind.family == "mixedint" else "interval",
-                starts=starts, horizon=prep.horizon,
-                treatments=prep.treatments, exclude_arm=m,
+            estimate = mixed_model.reml_fit(
+                dm.X, groups, dm.y, cov_structure=kind.covariance, columns=dm.columns
             )
         except mixed_model.DegenerateRandomDesign:
             diag.update(fallback="ols_single_interval", converged=True)
         else:
-            estimate = mixed_model.reml_fit(
-                dm.X, groups, dm.y, cov_structure=kind.covariance, columns=dm.columns
-            )
             boundary = estimate.sigma2_random <= mixed_model.BOUNDARY_GAMMA * estimate.sigma2
             diag.update(n_random_columns=len(labels), sigma2_random=estimate.sigma2_random,
                         converged=estimate.converged, iterations=estimate.iterations,

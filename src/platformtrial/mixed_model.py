@@ -69,11 +69,12 @@ def build_random_design(
     treatments: Sequence[int] | None = None,
     exclude_arm: int | None = None,
 ) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Random-effect group of each record: 0 for none, g in 1..m for column g of Z.
+    """Random-effect group code of each record, and labels of the groups with records.
 
-    ``interval`` grouping has one group per time interval 2..end, and
-    ``interaction`` one per (treatment arm other than exclude_arm, interval
-    >= 2). Empty groups are dropped and the rest numbered in label order.
+    A group is an owner's interval s in 2..S: ``interval`` grouping has one
+    owner, ``interaction`` one per treatment arm other than exclude_arm. The
+    code is o (S - 1) + s - 1 for owner o (from 0), 0 for no group, so interval
+    distances are code distances; codes of empty groups go unused.
     """
     idx = interval_indices(times, starts, horizon)
     if grouping == "interval":
@@ -85,18 +86,13 @@ def build_random_design(
     else:
         raise ConfigError(f"unknown random grouping {grouping!r}")
     later = range(2, len(starts) + 1)
-    cell = np.zeros(idx.shape, dtype=np.intp)  # 1 + position in names, 0 for none
+    code = np.zeros(idx.shape, dtype=np.intp)
     for i, rows in enumerate(owners.values()):
         rows = rows & (idx >= 2)
-        cell[rows] = i * len(later) + idx[rows] - 1
+        code[rows] = i * len(later) + idx[rows] - 1
     names = [f"{owner}iv{s}" for owner in owners for s in later]
-    present = np.bincount(cell, minlength=len(names) + 1)[1:] > 0
-    if not present.any():
-        raise DegenerateRandomDesign(
-            "no random-effect columns (single time interval); fit the fixed model instead"
-        )
-    code = np.concatenate(([0], np.cumsum(present)))
-    return code[cell], tuple(name for name, kept in zip(names, present) if kept)
+    present = np.bincount(code, minlength=len(names) + 1)[1:] > 0
+    return code, tuple(name for name, kept in zip(names, present) if kept)
 
 
 class _RemlWorkspace:
@@ -172,8 +168,10 @@ def reml_fit(
 ) -> MixedFit:
     """Fit the mixed model by REML over the transformed variance parameters.
 
-    ``groups`` holds each record's random-effect group, 0 for none and 1..m
-    otherwise, as :func:`build_random_design` returns it.
+    ``groups`` holds each record's group code, 0 for none, as
+    :func:`build_random_design` returns it. Codes without records are dropped;
+    AR(1) lags are code distances. One group leaves rho unidentified, so its
+    AR(1) fit is the independent fit, with rho None.
 
     Independent structure: the objective is scanned at the log gamma points
     of ``_LOG_GAMMA_SCAN_INDEPENDENT``, from bound to bound (+-34), and, when
@@ -200,6 +198,8 @@ def reml_fit(
     if groups.max() < 1:
         raise DegenerateRandomDesign("groups must name at least one group: every code is 0")
     work = _RemlWorkspace(X, groups.astype(np.intp), y, columns)  # bincount refuses uint64
+    if work.d.size == 1:
+        cov_structure = "independent"
     evals = 0
 
     def unpack(log_gamma, atanh_rho=0.0):

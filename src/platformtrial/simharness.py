@@ -138,8 +138,7 @@ def run_replicate(
 
 
 def _run_chunk(scenario: Scenario, indices: Sequence[int]):
-    with blas.single_thread():
-        return [run_replicate(scenario, i) for i in indices]
+    return [run_replicate(scenario, i) for i in indices]
 
 
 def run_scenario(
@@ -150,20 +149,18 @@ def run_scenario(
     Failed replicates (non-convergence or fit errors) are excluded from the
     rates and reported in ``failures``. Replicates run with every OpenBLAS at
     one thread; ``threads`` worker processes (at most one per replicate) run
-    them in parallel. Replicates run in this process read and fill
-    ``_shared`` (see ``run_replicate``).
+    them in parallel, in balanced contiguous chunks. Replicates run in this
+    process read and fill ``_shared`` (see ``run_replicate``).
     """
-    indices = list(range(scenario.replicates))
-    workers = min(threads, scenario.replicates)
-    with blas.single_thread():
+    n = scenario.replicates
+    indices = range(n)
+    workers = min(threads, n)
+    with blas.single_thread():  # forked workers inherit the one-thread counts
         if workers > 1:
-            chunks = [indices[i::workers] for i in range(workers)]
+            chunks = [indices[i * n // workers:(i + 1) * n // workers] for i in range(workers)]
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                chunk_results = list(pool.map(_run_chunk, itertools.repeat(scenario), chunks))
-            per_rep: list = [None] * scenario.replicates
-            for chunk, results in zip(chunks, chunk_results):
-                for i, res in zip(chunk, results):
-                    per_rep[i] = res
+                chunk_results = pool.map(_run_chunk, itertools.repeat(scenario), chunks)
+                per_rep = [res for results in chunk_results for res in results]
         else:
             per_rep = [run_replicate(scenario, i, _shared) for i in indices]
 

@@ -359,6 +359,17 @@ class TestFitDispatch:
         fp = fit(ds, 1, ModelSpec("fixed_period"))
         assert r.theta_hat == pytest.approx(fp.theta_hat, abs=1e-12)
 
+    @pytest.mark.parametrize("c_length", [700, 1000])
+    def test_ar1_over_one_random_interval_reports_no_rho(self, c_length):
+        # arm 3's set spans two calendar intervals, so one random group
+        ds = generate_trial(make_config(), TrendSpec("linear", lam=(0.5,) * 5), "null", seed=7)
+        sl = slice_for_arm(ds, 3)
+        ar1 = fit(sl, 3, ModelSpec("mixed_calendar_ar1", c_length=c_length))
+        independent = fit(sl, 3, ModelSpec("mixed_calendar", c_length=c_length))
+        assert ar1.diagnostics["n_random_columns"] == 1 and "rho" not in ar1.diagnostics
+        assert (ar1.theta_hat, ar1.se, ar1.diagnostics) == (
+            independent.theta_hat, independent.se, independent.diagnostics)
+
     def test_diagnostics_carry_model_metadata(self):
         ds = generate_trial(make_config(), TrendSpec.none(4), "null", seed=8)
         sl = slice_for_arm(ds, 3)

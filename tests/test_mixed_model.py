@@ -7,14 +7,23 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from platformtrial import mixed_model
-from platformtrial.design import ConfigError
+from platformtrial.analysis import ModelSpec, fit, slice_for_arm
+from platformtrial.datagen import TrialDataset, empirical_timeline
+from platformtrial.design import ConfigError, derive_calendar
 from platformtrial.mixed_model import (
     DegenerateRandomDesign,
+    MixedFit,
     _RemlWorkspace,
     build_random_design,
     reml_fit,
 )
-from platformtrial.regression_engine import DesignMatrix, RankDeficiencyError, ols_fit, wald_test
+from platformtrial.regression_engine import (
+    DesignMatrix,
+    RankDeficiencyError,
+    build_design,
+    ols_fit,
+    wald_test,
+)
 
 from oracles import ar1_correlation, dense_gls, dense_reml_neg2ll
 
@@ -93,8 +102,58 @@ class TestBuildRandomDesign:
         assert np.bincount(groups)[1:].min() > 0
 
     def test_single_interval_degenerate(self):
+        arms = np.zeros(12, dtype=int)
+        groups, labels = build_random_design(self.TIMES, arms, "interval", (1,), 12)
+        assert np.array_equal(groups, np.zeros(12)) and labels == ()
+        X = np.column_stack([np.ones(12), self.TIMES])
         with pytest.raises(DegenerateRandomDesign):
-            build_random_design(self.TIMES, np.zeros(12, dtype=int), "interval", (1,), 12)
+            reml_fit(X, groups, np.sin(self.TIMES))
+
+
+class TestEmptyInterval:
+    """An imported trial with a recruitment pause: calendar unit 3, [201, 301), is empty.
+
+    The AR(1) correlation of two intervals depends on how many intervals lie
+    between them, so units 2 and 4 are two lags apart, not neighbours.
+    """
+
+    C_LENGTH = 100
+
+    @pytest.fixture(scope="class")
+    def analysis_set(self):
+        t = np.r_[np.arange(1, 201), np.arange(321, 601)].astype(float)
+        rng = np.random.default_rng(3)
+        arm = rng.integers(0, 3, t.size)
+        u = rng.normal(0.0, 0.5, 7)  # one effect per calendar unit
+        y = 0.3 * (arm == 1) + u[((t - 1) // self.C_LENGTH).astype(int)] + rng.normal(size=t.size)
+        dataset = TrialDataset(j=np.arange(1, t.size + 1), arm=arm, t=t, y=y,
+                               timeline=empirical_timeline(arm, t))
+        return slice_for_arm(dataset, 1)
+
+    def design(self, s):
+        starts = derive_calendar(s.horizon, self.C_LENGTH, start=s.origin)
+        groups, labels = build_random_design(s.t, s.arm, "interval", starts, s.horizon)
+        return build_design(s.t, s.arm, s.y, s.treatments, adjustment="none"), groups, labels
+
+    def test_interval_s_gets_code_s_minus_one(self, analysis_set):
+        _, groups, labels = self.design(analysis_set)
+        interval = (analysis_set.t - 1) // self.C_LENGTH + 1
+        assert np.array_equal(groups, np.where(interval >= 2, interval - 1, 0))
+        assert labels == ("iv2", "iv4", "iv5", "iv6")
+
+    def test_ar1_fit_on_interval_codes_no_worse_than_renumbered(self, analysis_set):
+        dm, groups, _ = self.design(analysis_set)
+        r = fit(analysis_set, 1, ModelSpec("mixed_calendar_ar1", c_length=self.C_LENGTH))
+        ours = reml_fit(dm.X, groups, dm.y, cov_structure="ar1", columns=dm.columns)
+        i = dm.columns.index("trt1")
+        assert (r.theta_hat, r.se) == (ours.beta[i], math.sqrt(ours.cov[i, i]))
+        assert (r.diagnostics["rho"], r.diagnostics["sigma2_random"]) == (
+            ours.rho, ours.sigma2_random)
+        renumbered = reml_fit(dm.X, np.unique(groups, return_inverse=True)[1], dm.y,
+                              cov_structure="ar1")
+        assert renumbered.rho != pytest.approx(ours.rho, abs=0.1)  # the lags matter here
+        score = lambda f: dense_reml_neg2ll(dm.X, groups, dm.y, f.sigma2_random / f.sigma2, f.rho)
+        assert score(ours) <= score(renumbered)
 
 
 class TestRemlFit:
@@ -258,6 +317,17 @@ class TestRemlFit:
         with pytest.raises(ConfigError, match=problem):
             reml_fit(X, groups, y)
 
+
+    @pytest.mark.parametrize("code", [1, 3])
+    def test_ar1_of_one_group_is_the_independent_fit(self, code):
+        # a 1 x 1 correlation is 1 for every rho: rho is not identified
+        X, groups, y = small_ar1_instance(n=60, m=3)
+        groups = np.where(groups > 1, code, 0)
+        ar1 = reml_fit(X, groups, y, cov_structure="ar1")
+        independent = reml_fit(X, groups, y)
+        assert ar1.rho is None
+        for name in MixedFit.__dataclass_fields__:
+            assert np.array_equal(getattr(ar1, name), getattr(independent, name))
 
     def test_unsigned_codes_accepted(self):
         X, groups, y = small_ar1_instance(n=60, m=3)
