@@ -2,10 +2,10 @@
 """Time per fit, estimator by estimator, in a parent source tree and this checkout.
 
 Takes the first data-key group of a config's grid (its first hypothesis,
-pattern, strength and spacing, with every ``c_length``), makes the analysis
-sets of its first five replicates, and times ``fit`` five times on each
-set for every distinct spec of the group, clearing the set's kept fits
-before each call so that every call fits:
+pattern, strength and spacing, with every ``c_length``), generates the
+datasets of its first five replicates, and times ``fit`` five times on each
+for every distinct spec of the group, each time on a fresh analysis set, so
+that every call fits and pays the set's lazily derived parts:
 
     git archive <parent-commit> --prefix=parent/ | tar -x -C /tmp
     python3 scripts/fit_timing.py /tmp/parent configs/setting2a_desk.json
@@ -13,7 +13,12 @@ before each call so that every call fits:
 Prints one line per spec: the estimator label, the ``c_length`` (``-`` for
 an estimator without one), and the median microseconds per fit in the
 parent tree and in this checkout, with their ratio. A spec whose fits raise
-on every set reads ``nan``. Each tree runs in its own interpreter with its
+on every set reads ``nan``. Standard error gets one more line for the
+group: the median microseconds to fit all of its distinct specs in turn on
+a fresh set whose ``planned`` lists them (a tree whose sets have no
+``planned`` fits them one by one), which is what a one-worker group pays
+per replicate; it reads ``nan`` if a spec raises on every set. Each tree
+runs in its own interpreter with its
 ``src`` on the path and every BLAS library at one thread, twice, in the
 order parent, change, change, parent, and each spec reports the lower of a
 tree's two medians, so that a drift in the host's load favours neither
@@ -40,7 +45,8 @@ REPEATS = 5  # timed fits per set and spec
 
 
 def time_fits(config: str, out: str) -> None:
-    """Write {"data": fingerprint, "us": [[label, c_length, median us], ...]}."""
+    """Write {"data": fingerprint, "us": [[label, c_length, median us], ...],
+    "group_us": median us for the whole group}."""
     import itertools
 
     from platformtrial.analysis import fit, slice_for_arm
@@ -54,30 +60,32 @@ def time_fits(config: str, out: str) -> None:
     group = list(itertools.takewhile(lambda c: scenario_data_key(c) == key, cells))
     first = group[0]
     M = first.config.M
-    sets = [
-        slice_for_arm(generate_trial(first.config, first.trend, first.hypothesis,
-                                     seed=replicate_seed(first, i)), M)
-        for i in range(DATASETS)
-    ]
+    datasets = [generate_trial(first.config, first.trend, first.hypothesis,
+                               seed=replicate_seed(first, i)) for i in range(DATASETS)]
     specs = list(dict.fromkeys(spec for cell in group for spec in cell.estimators))
-    rows = []
-    for spec in specs:
+
+    def median_us(fitted, plan=()):
+        """Median us to fit ``fitted`` in turn on a fresh set that plans ``plan``."""
         times = []
-        for analysis_set in sets:
+        for dataset in datasets:
             for _ in range(REPEATS):
-                analysis_set.fits.clear()
+                fresh = slice_for_arm(dataset, M)
+                getattr(fresh, "planned", []).extend(plan)
                 start = time.perf_counter()
                 try:
-                    fit(analysis_set, M, spec)
+                    for spec in fitted:
+                        fit(fresh, M, spec)
                 except Exception:  # a failing fit is not timed
                     continue
                 times.append(time.perf_counter() - start)
-        us = 1e6 * statistics.median(times) if times else float("nan")
-        c_length = spec.c_length if spec.kind.needs_c_length else None
-        rows.append([spec.label, c_length, us])
-    fingerprint = repr(sum(float(s.y.sum()) for s in sets))
+        return 1e6 * statistics.median(times) if times else float("nan")
+
+    rows = [[spec.label, spec.c_length if spec.kind.needs_c_length else None, median_us([spec])]
+            for spec in specs]
+    group_us = median_us(specs, plan=specs)
+    fingerprint = repr(sum(float(dataset.y.sum()) for dataset in datasets))
     with open(out, "w") as fh:
-        json.dump({"data": fingerprint, "us": rows}, fh)
+        json.dump({"data": fingerprint, "us": rows, "group_us": group_us}, fh)
 
 
 def run_stage(tree: Path, *args: str) -> dict:
@@ -116,6 +124,11 @@ def main(argv=None) -> int:
         c = "-" if c_length is None else f"{c_length:g}"
         print(f"{label:<22} {c:>8} {us_parent:>10.1f} {us_change:>10.1f} "
               f"{us_change / us_parent:>6.3f}")
+    group_parent, group_change = (min(out["group_us"] for s, out in stages if s == side)
+                                  for side in ("parent", "change"))
+    label = f"group ({len(stages[0][1]['us'])} specs)"
+    print(f"{label:<22} {'-':>8} {group_parent:>10.1f} {group_change:>10.1f} "
+          f"{group_change / group_parent:>6.3f}", file=sys.stderr)
     return 0
 
 

@@ -19,6 +19,14 @@ and failed (raising) fits, each tree's mean and maximum objective
 evaluations per successful fit (``MixedFit.iterations``), and each tree's
 median wall time per refit in ms. Each stage runs in its own interpreter
 with that tree's ``src`` on the path.
+
+The refits share the parent tree's inputs, so they cannot see a change to
+how those inputs are built (the random-effect codes, say). So the grid also
+runs once with each tree, and standard error gets a second table, one line
+per estimator: the ``fit`` calls, how many of them differ between the trees
+(one fails and the other not, or theta-hat or its SE moves by more than
+1e-9 relative), the largest such relative move, and each tree's failed
+calls.
 """
 from __future__ import annotations
 
@@ -47,20 +55,11 @@ def dump(obj, path: str) -> None:
         pickle.dump(obj, fh)
 
 
-def capture(config: str, reps: str, seed: str, out: str) -> None:
-    """Run the grid at one worker and pickle every reml_fit call's inputs.
-
-    ``reps`` and ``seed`` override the config's unless they are empty.
-    """
+def capture(config: str, reps: str, seed: str, out: str, results_out: str) -> None:
+    """Run the grid at one worker, pickle every reml_fit call's inputs to
+    ``out`` and every fit call's result to ``results_out``."""
     from platformtrial import mixed_model
-    from platformtrial.cli import load_config
-    from platformtrial.simharness import run_grid
 
-    grid, _ = load_config(config)
-    if reps:
-        grid = replace(grid, replicates=int(reps))
-    if seed:
-        grid = replace(grid, seed=int(seed))
     fits = []
     original = mixed_model.reml_fit
 
@@ -69,8 +68,63 @@ def capture(config: str, reps: str, seed: str, out: str) -> None:
         return original(X, groups, y, cov_structure=cov_structure, columns=columns)
 
     mixed_model.reml_fit = recorded
-    run_grid(grid, threads=1)
+    fit_results(config, reps, seed, results_out)
     dump(fits, out)
+
+
+def fit_results(config: str, reps: str, seed: str, out: str) -> None:
+    """Run the grid at one worker and pickle (estimator, (theta_hat, se) or
+    None where it raised) for every fit call, in call order.
+
+    ``reps`` and ``seed`` override the config's unless they are empty.
+    """
+    from platformtrial import simharness
+    from platformtrial.cli import load_config
+
+    grid, _ = load_config(config)
+    if reps:
+        grid = replace(grid, replicates=int(reps))
+    if seed:
+        grid = replace(grid, seed=int(seed))
+    results = []
+    original = simharness.fit
+
+    def recorded(data, m, spec):
+        try:
+            r = original(data, m, spec)
+        except Exception:
+            results.append((spec.label, None))
+            raise
+        results.append((spec.label, (r.theta_hat, r.se)))
+        return r
+
+    simharness.fit = recorded
+    simharness.run_grid(grid, threads=1)
+    dump(results, out)
+
+
+def compare_fits(parent_path: str, change_path: str) -> None:
+    """Print the per-estimator comparison of two trees' fit results to stderr."""
+    parent, change = load(parent_path), load(change_path)
+    if [label for label, _ in parent] != [label for label, _ in change]:
+        raise SystemExit("reml_fit_by_fit: the two trees made different fit calls")
+    rows: dict = {}
+    for (label, a), (_, b) in zip(parent, change):
+        row = rows.setdefault(label, [0, 0, 0.0, 0, 0])
+        row[0] += 1
+        row[3] += a is None
+        row[4] += b is None
+        if a is None or b is None:
+            row[1] += (a is None) != (b is None)
+            continue
+        moves = [abs(x - y) / abs(x) if x else abs(y) for x, y in zip(a, b)]
+        row[1] += max(moves) > TOL
+        row[2] = max(row[2], *moves)
+    print(f"{'estimator':<22} {'fits':>5} {'differ':>6} {'max_rel':>9} "
+          f"{'failed_parent':>13} {'failed_change':>13}", file=sys.stderr)
+    for label, (fits, differ, max_rel, failed_parent, failed_change) in rows.items():
+        print(f"{label:<22} {fits:>5} {differ:>6} {max_rel:>9.2g} "
+              f"{failed_parent:>13} {failed_change:>13}", file=sys.stderr)
 
 
 def refit(fits_path: str, out: str) -> None:
@@ -140,7 +194,7 @@ def run_stage(tree: Path, *args: str) -> None:
 def main(argv=None) -> int:
     if argv is None and sys.argv[1:2] == ["--stage"]:
         stage, *args = sys.argv[2:]
-        {"capture": capture, "refit": refit, "score": score}[stage](*args)
+        {"capture": capture, "fits": fit_results, "refit": refit, "score": score}[stage](*args)
         return 0
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path, help="root of the parent source tree")
@@ -150,12 +204,16 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     parent = args.parent.resolve()
     with tempfile.TemporaryDirectory() as tmp:
-        fits, res_parent, res_change = (os.path.join(tmp, f) for f in ("fits", "parent", "change"))
-        overrides = ("" if v is None else str(v) for v in (args.reps, args.seed))
-        run_stage(parent, "capture", os.path.abspath(args.config), *overrides, fits)
+        fits, res_parent, res_change, grid_parent, grid_change = (
+            os.path.join(tmp, f) for f in ("fits", "parent", "change", "grid_parent", "grid_change"))
+        grid = (os.path.abspath(args.config),
+                *("" if v is None else str(v) for v in (args.reps, args.seed)))
+        run_stage(parent, "capture", *grid, fits, grid_parent)
+        run_stage(ROOT, "fits", *grid, grid_change)
         run_stage(parent, "refit", fits, res_parent)
         run_stage(ROOT, "refit", fits, res_change)
         run_stage(parent, "score", fits, res_parent, res_change)
+        compare_fits(grid_parent, grid_change)
     return 0
 
 

@@ -13,7 +13,9 @@ import numpy as np
 from . import mixed_model, spline
 from .datagen import TrialDataset
 from .design import ConfigError, TrialTimeline, derive_calendar, derive_periods
-from .regression_engine import OlsFit, build_design, cell_ols, ols_fit, wald_test
+from .regression_engine import (
+    OlsFit, build_design, cell_ols_each, ols_fit, sort_cells, wald_test,
+)
 
 
 @dataclass(frozen=True)
@@ -124,7 +126,9 @@ class AnalysisSet:
     serve every fit of a replicate, and every grid cell that shares the data,
     without a fit being able to change it for the next. ``fits`` holds the
     result of every spec :func:`fit` has fitted on the set, so a spec shared
-    by several cells is fitted once.
+    by several cells is fitted once. ``planned`` lists the specs its callers
+    will ask for: the first fixed-effect fit fits every fixed-effect spec
+    planned there in one pass.
     """
 
     m: int
@@ -138,6 +142,9 @@ class AnalysisSet:
     timeline: TrialTimeline
     fits: dict[ModelSpec, FitResult] = field(
         default_factory=dict, init=False, repr=False, compare=False
+    )
+    planned: list[ModelSpec] = field(
+        default_factory=list, init=False, repr=False, compare=False
     )
 
     @cached_property
@@ -192,7 +199,10 @@ def fit(data: AnalysisSet, m: int, spec: ModelSpec) -> FitResult:
     ``data`` is the set :func:`slice_for_arm` made for arm m. A fit is a
     function of (set, spec), so the set keeps each successful fit in
     ``data.fits`` and answers an equal spec from there; every call gets its
-    own ``diagnostics`` dict. A failed fit is not kept and raises again.
+    own ``diagnostics`` dict. A failed fit is not kept and raises again. A
+    fixed-effect spec is fitted in one pass with the set's ``planned``
+    fixed-effect specs that it has not kept, if it is the first; a batch
+    leaves each fit as it would be alone.
     """
     if not isinstance(data, AnalysisSet):
         raise ConfigError(
@@ -201,7 +211,16 @@ def fit(data: AnalysisSet, m: int, spec: ModelSpec) -> FitResult:
     if data.m != m:
         raise ConfigError(f"analysis set made for arm {data.m}, not for arm {m}")
     kept = data.fits.get(spec)
-    if kept is None:
+    if kept is None and spec.kind.family == "fixed":
+        batch = list(dict.fromkeys([spec, *(s for s in data.planned if s.kind.family == "fixed"
+                                            and s not in data.fits)]))
+        data.planned.clear()
+        outcomes = _fit_fixed(data, batch)
+        data.fits.update((s, r) for s, r in zip(batch, outcomes) if isinstance(r, FitResult))
+        if isinstance(outcomes[0], Exception):
+            raise outcomes[0]
+        kept = outcomes[0]
+    elif kept is None:
         kept = data.fits[spec] = _fit(data, spec)
     return FitResult(kept.estimator, kept.arm, kept.theta_hat, kept.se, kept.t, kept.p_one,
                      kept.p_two, kept.reject, dict(kept.diagnostics))
@@ -226,16 +245,10 @@ def _fit(prep: AnalysisSet, spec: ModelSpec) -> FitResult:
         dm = build_design(prep.t[rows], prep.arm[rows], y, treatments=(m,))
         diag.update(n_treatment=int(in_arm.sum()), n_controls=int(controls.sum()))
     else:
-        if kind.timescale == "period":
-            starts = prep.period_starts
-        else:
-            starts = derive_calendar(prep.horizon, spec.c_length, start=prep.origin)
+        starts = _interval_starts(prep, spec)
         diag = {"n_intervals": len(starts)}
         y = prep.y
-        if kind.family == "fixed":
-            estimate = cell_ols(prep.t, prep.arm, y, prep.treatments,
-                                adjustment=kind.timescale, starts=starts, horizon=prep.horizon)
-        elif kind.family == "spline":
+        if kind.family == "spline":
             basis = spline.knots_at(starts, prep.horizon, degree=spec.spline_degree)
             dm = build_design(
                 prep.t, prep.arm, prep.y, prep.treatments, adjustment="spline", basis=basis
@@ -270,9 +283,36 @@ def _fit(prep: AnalysisSet, spec: ModelSpec) -> FitResult:
                         boundary=bool(boundary))
             if estimate.rho is not None:
                 diag["rho"] = estimate.rho
-    if estimate is None:
-        estimate = ols_fit(dm)
-    n = y.size
+    return _result(prep, spec, ols_fit(dm) if estimate is None else estimate, diag, y)
+
+
+def _fit_fixed(prep: AnalysisSet, specs: Sequence[ModelSpec]) -> list[FitResult | Exception]:
+    """Each fixed-effect spec's fit, or the error it raises, from one cell pass.
+
+    The records are sorted for the pass and not kept: a set that plans its
+    specs makes one pass, and a data-key group keeps every replicate's set.
+    """
+    partitions = [(spec.kind.timescale, _interval_starts(prep, spec)) for spec in specs]
+    records = sort_cells(prep.t, prep.arm, prep.y, prep.treatments)
+    outcomes = cell_ols_each(records, partitions, prep.horizon)
+    for i, (spec, (_, starts)) in enumerate(zip(specs, partitions)):
+        if not isinstance(outcomes[i], Exception):
+            try:
+                outcomes[i] = _result(prep, spec, outcomes[i], {"n_intervals": len(starts)}, prep.y)
+            except ConfigError as exc:
+                outcomes[i] = exc
+    return outcomes
+
+
+def _interval_starts(prep: AnalysisSet, spec: ModelSpec) -> tuple[float, ...]:
+    if spec.kind.timescale == "period":
+        return prep.period_starts
+    return derive_calendar(prep.horizon, spec.c_length, start=prep.origin)
+
+
+def _result(prep: AnalysisSet, spec: ModelSpec, estimate, diag: dict, y: np.ndarray) -> FitResult:
+    """The Wald test of arm m's coefficient, with the fit's sizes in ``diag``."""
+    m, n = prep.m, y.size
     if isinstance(estimate, OlsFit):
         # an exact fit leaves a residual of rounding noise, of order at most
         # (n eps)^2 y'y, instead of the zero it is

@@ -74,6 +74,20 @@ def _subset(allowed):
     return check
 
 
+def _distinct(check):
+    """``check``, then no value may repeat an earlier one: a repeated grid axis
+    value would run its cells twice."""
+    def distinct(value, path):
+        values, first, errors = check(value, path), {}, []
+        for i, v in enumerate(values):
+            if first.setdefault(v, i) != i:
+                errors.append(f"{path}[{i}]: duplicate of {path}[{first[v]}]")
+        if errors:
+            raise ConfigValidationError(errors)
+        return values
+    return distinct
+
+
 def _one_of(allowed):
     def check(value, path):
         if value not in allowed:
@@ -99,7 +113,7 @@ def _profile(value, path):
 _CONFIG = {
     "trial": {
         "K": ("K", _number(lo=2, integer=True)),
-        "d": ("d_values", _numbers(_number(lo=0, integer=True))),
+        "d": ("d_values", _distinct(_numbers(_number(lo=0, integer=True)))),
         "n": ("n", _number(lo=2, integer=True)),
         "eta0": ("eta0", _number()),
         "sigma": ("sigma", _number(lo=1e-12)),
@@ -107,15 +121,15 @@ _CONFIG = {
         "effect": ("effect", _number()),
     },
     "trend": {
-        "patterns": ("patterns", _subset(TREND_PATTERNS)),
-        "lambda": ("lambdas", _numbers(_number()), (0.0,)),
+        "patterns": ("patterns", _distinct(_subset(TREND_PATTERNS))),
+        "lambda": ("lambdas", _distinct(_numbers(_number())), (0.0,)),
         "profile": ("profile", _profile),
         "n_p": ("n_p", _optional(_number(lo=2, integer=True))),
         "psi": ("psi", _optional(_number(lo=1e-9))),
     },
-    "calendar": {"c_length": ("c_lengths", _numbers(_number(lo=1)))},
+    "calendar": {"c_length": ("c_lengths", _distinct(_numbers(_number(lo=1))))},
     "run": {
-        "hypotheses": ("hypotheses", _subset(("null", "alternative"))),
+        "hypotheses": ("hypotheses", _distinct(_subset(("null", "alternative")))),
         "replicates": ("replicates", _number(lo=1, integer=True)),
         "seed": ("seed", _number(lo=0, integer=True)),
         "alpha": ("alpha", _number(lo=1e-9, hi=1 - 1e-9)),

@@ -110,11 +110,15 @@ def _interval_index(times, adjustment: str, starts, horizon) -> np.ndarray | Non
     """1-based interval of each time for a period/calendar adjustment, None for none."""
     if adjustment == "none":
         return None
+    _check_partition(adjustment, starts, horizon)
+    return interval_indices(times, starts, horizon)
+
+
+def _check_partition(adjustment: str, starts, horizon) -> None:
     if adjustment not in ("period", "calendar"):
         raise ConfigError(f"unknown adjustment {adjustment!r}")
     if starts is None or horizon is None:
         raise ConfigError(f"{adjustment} adjustment needs interval starts and a horizon")
-    return interval_indices(times, starts, horizon)
 
 
 def _indicator_columns(trt: Sequence[int], adjustment: str, n_intervals: int) -> list[str]:
@@ -157,6 +161,55 @@ def _solve_normal_equations(XtX, Xty, columns) -> tuple[np.ndarray, np.ndarray, 
     return np.linalg.solve(XtX, Xty), lam, V
 
 
+class CellRecords(NamedTuple):
+    """Records sorted by (arm row, time), the input of :func:`cell_ols_each`.
+
+    The rows are the reference arm, then ``treatments``; an arm outside
+    ``treatments`` is a reference record, as in :func:`build_design`.
+    ``times[r]`` holds row r's times in order, ``starts[r]`` the position of
+    its first record, and ``y`` every response in that order, ending with one
+    0.0 so that the end of the records is an index into it. ``A`` and ``u``
+    are the intercept and treatment blocks of X'X and X'y, which no
+    partition changes, ``columns`` their labels, and ``span`` the first and
+    last time.
+    """
+
+    times: list[np.ndarray]
+    starts: np.ndarray
+    y: np.ndarray
+    A: np.ndarray
+    u: np.ndarray
+    treatments: tuple[int, ...]
+    columns: tuple[str, ...]
+    span: tuple[float, float]
+
+
+def sort_cells(times, arms, y, treatments: Sequence[int]) -> CellRecords:
+    """The records in the layout of :func:`cell_ols_each`: one stable sort."""
+    trt = tuple(sorted(treatments))
+    a = len(trt) + 1
+    row_of = np.zeros(max(trt, default=0) + 2, dtype=np.intp)
+    row_of[list(trt)] = np.arange(1, a)
+    row = row_of.take(np.asarray(arms), mode="clip")
+    times = np.asarray(times, dtype=float)
+    order = np.lexsort((times, row))
+    n_row = np.bincount(row, minlength=a)
+    bounds = np.zeros(a + 1, dtype=np.intp)
+    np.cumsum(n_row, out=bounds[1:])
+    t, y_ext = times[order], np.zeros(order.size + 1)
+    np.take(np.asarray(y, dtype=float), order, out=y_ext[:-1])
+    u = np.add.reduceat(y_ext, bounds)[:a] * (n_row > 0)  # reduceat gives an empty row a value
+    u[0] = u.sum()
+    n_row[0] = t.size
+    A = np.zeros((a, a))
+    A.flat[::a + 1] = A[0] = A[:, 0] = n_row
+    rows = [t[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    span = (min((r[0] for r in rows if r.size), default=math.inf),
+            max((r[-1] for r in rows if r.size), default=-math.inf))
+    return CellRecords(rows, bounds[:-1], y_ext, A, u, trt,
+                       tuple(_indicator_columns(trt, "none", 1)), span)
+
+
 def cell_ols(
     times: np.ndarray,
     arms: np.ndarray,
@@ -167,15 +220,33 @@ def cell_ols(
     horizon: float | None = None,
 ) -> OlsFit:
     """``ols_fit(build_design(...))`` for the ``none``, ``period`` and
-    ``calendar`` adjustments, from cell counts and sums.
+    ``calendar`` adjustments, from cell counts and sums: :func:`cell_ols_each`
+    with one partition."""
+    (result,) = cell_ols_each(sort_cells(times, arms, y, treatments), [(adjustment, starts)],
+                              horizon)
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def cell_ols_each(
+    records: CellRecords,
+    partitions: Sequence[tuple[str, Sequence[float] | None]],
+    horizon: float | None,
+) -> list[OlsFit | Exception]:
+    """The fixed-effect fit of the records under each (adjustment, starts)
+    partition, or the error that fitting it alone raises.
 
     Every column of these designs is a 0/1 indicator of an arm or an
     interval, so X'X and X'y follow from the record counts and response
     sums of the (1+T) x S cells of (reference arm, then the T treatments) x
-    interval. X'X = [[A, B], [B', D]] with D diagonal (the intervals 2..S),
-    so one solve with the Schur complement M = A - B D^-1 B' gives the
-    intercept and treatment coefficients, and M^-1 is the leading block of
-    (X'X)^-1. The fit returned holds those coefficients and their
+    interval. Each row's records are in time order, so one ``searchsorted``
+    per row over every partition's starts gives every cell's bounds, and one
+    ``np.add.reduceat`` every cell's sum, in record order. X'X = [[A, B],
+    [B', D]] with D diagonal (the intervals 2..S), so a solve with the Schur
+    complement M = A - B D^-1 B' gives the intercept and treatment
+    coefficients, and M^-1 is the leading block of (X'X)^-1; the partitions'
+    M are solved as one stack. A fit holds those coefficients and their
     covariance only; ``df`` counts every column.
 
     The rank rule and its errors are ``ols_fit``'s. 3n bounds the largest
@@ -185,61 +256,124 @@ def cell_ols(
     through ``ols_fit``'s eigenvalue rule. The bounds save that
     eigendecomposition, which at p ~ 60 costs more than the rest of the fit.
     The residual is taken record by record, as for a row-level fit.
-    """
-    y = np.asarray(y, dtype=float)
-    trt = sorted(treatments)
-    a = len(trt) + 1
-    idx = _interval_index(times, adjustment, starts, horizon)
-    s = 1 if idx is None else len(starts)
-    # cell = s * row + interval - 1, with rows (reference, *trt); an arm
-    # outside treatments is a reference row, as in build_design
-    row_start = np.full(max(trt, default=0) + 2, -1, dtype=np.intp)
-    row_start[trt] = np.arange(s - 1, a * s - 1, s)
-    cell = row_start.take(np.asarray(arms), mode="clip") + (1 if idx is None else idx)
-    columns = _indicator_columns(trt, adjustment, s)
-    n, p = y.size, len(columns)
-    _check_size(n, p)
-    counts = np.bincount(cell, minlength=a * s).reshape(a, s).astype(float)
-    sums = np.bincount(cell, weights=y, minlength=a * s).reshape(a, s)
-    # X'X = [[A, B], [B', diag(d)]] and X'y = [u, v], with A and u of the
-    # intercept and treatments, d and v of the intervals 2..S. With the
-    # reference row replaced by the interval totals, B, d and v are slices.
-    counts[0] = counts.sum(axis=0)
-    sums[0] = sums.sum(axis=0)
-    n_row = counts.sum(axis=1)
-    A = np.diag(n_row)
-    A[0] = A[:, 0] = n_row
-    u = sums.sum(axis=1)
-    B, d, v = counts[:, 1:], counts[0, 1:], sums[0, 1:]
-    beta = None
-    if d.all():
-        E = B / d
-        # one LU solve for the coefficients and the inverse
-        rhs = np.eye(a, a + 1, 1)
-        rhs[:, 0] = u - E @ v
-        try:
-            solved = np.linalg.solve(A - E @ B.T, rhs)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            xtx_inv = solved[:, 1:]
-            bound = (math.sqrt(np.vdot(xtx_inv, xtx_inv)) * (1.0 + np.vdot(E, E))
-                     + (1.0 / d.min() if d.size else 0.0))
-            if 3.0 * n * bound * RANK_TOL < 1.0:  # False for a NaN bound too
-                beta = solved[:, 0]
-                delta = (v - beta @ B) / d
-    if beta is None:
-        XtX = np.block([[A, B], [B.T, np.diag(d)]])
-        coef, lam, V = _solve_normal_equations(XtX, np.concatenate([u, v]), columns)
-        beta, delta, xtx_inv = coef[:a], coef[a:], (V[:a] / lam) @ V[:a].T
 
-    fitted = np.concatenate([[0.0], delta]) + beta[:, None]
-    fitted[1:] += beta[0]
-    resid = y - fitted.take(cell)
-    df = n - p
-    sigma2 = float(resid @ resid) / df
-    return OlsFit(beta=beta, cov=sigma2 * xtx_inv, sigma2_hat=sigma2, df=df,
-                  columns=tuple(columns[:a]))
+    A partition's fit is the same bit for bit whatever else is in the batch:
+    every sum over a partition's intervals is one ``reduceat`` segment of its
+    own columns, and every sum over rows adds the same rows in the same
+    order.
+    """
+    rows, row_starts, y_ext, A, u, trt, head, (t_lo, t_hi) = records
+    a, n = len(trt) + 1, y_ext.size - 1
+    out: list = [None] * len(partitions)
+    kept, adjustments, sizes, first, cuts = [], [], [], [], []
+    for i, (adjustment, starts) in enumerate(partitions):
+        try:
+            if adjustment == "none":
+                starts = (-math.inf,)
+            else:
+                _check_partition(adjustment, starts, horizon)
+                if t_lo < starts[0] or t_hi > horizon:
+                    raise ConfigError("times outside partition range")
+            _check_size(n, a + len(starts) - 1)
+        except ConfigError as exc:
+            out[i] = exc
+            continue
+        kept.append(i)
+        adjustments.append(adjustment)
+        sizes.append(len(starts))
+        first.append(len(cuts))
+        cuts += [*starts, math.inf]
+    if not kept:
+        return out
+
+    # Columns: each partition's intervals, then an end column (cut +inf) of
+    # no records. The cell of row r at column j holds row r's records from
+    # its position of cut j to that of cut j + 1; past the last column, the
+    # row's start makes the end columns' counts negative, so zero.
+    c_n, sizes, first, cuts = len(kept), np.array(sizes), np.array(first), np.array(cuts)
+    col_part = np.repeat(np.arange(c_n), sizes + 1)
+    pos = np.empty((a, cuts.size + 1), dtype=np.intp)
+    for r, t in enumerate(rows):
+        pos[r, :-1] = t.searchsorted(cuts)
+    pos[:, :-1] += row_starts[:, None]
+    pos[:, -1] = row_starts
+    counts = np.maximum(pos[:, 1:] - pos[:, :-1], 0)
+    sums = np.add.reduceat(y_ext, pos.ravel()).reshape(pos.shape)[:, :-1]
+    sums[counts == 0] = 0.0  # reduceat gives an empty cell its first index's value
+
+    # X'X = [[A, B], [B', diag(d)]] and X'y = [u, v], with d and v of each
+    # partition's intervals 2..S. With the reference row replaced by the
+    # interval totals, B, d and v are columns of the cell tables; the first
+    # and end columns ride along with d = inf, so B D^-1 is zero there.
+    B = counts.astype(float)
+    B[0] = B.sum(axis=0)
+    v = sums.sum(axis=0)
+    d = B[0].copy()
+    d[first] = math.inf
+    zero = d == 0  # an empty interval, or an end column
+    d[zero] = math.inf
+    zero[first + sizes] = False
+    empty = np.logical_or.reduceat(zero, first)
+    E = B / d
+    EB = np.add.reduceat(E[:, None, :] * B, first, axis=2)
+    Ev = np.add.reduceat(E * v, first, axis=1)
+    EE = np.add.reduceat((E * E).sum(axis=0), first)
+    inv_dmin = 1.0 / np.minimum.reduceat(d, first)
+
+    # one stacked LU solve for the coefficients and the inverses
+    rhs = np.empty((c_n, a, a + 1))
+    rhs[:, :, 0] = u - Ev.T
+    rhs[:, :, 1:] = np.eye(a)
+    solved = _solve_each(A - EB.transpose(2, 0, 1), rhs)
+    beta, xtx_inv = solved[:, :, 0], solved[:, :, 1:]
+    bound = np.sqrt((xtx_inv * xtx_inv).reshape(c_n, a * a).sum(axis=1)) * (1.0 + EE) + inv_dmin
+    delta = (v - (beta[col_part].T * B).sum(axis=0)) / d
+
+    for c in np.flatnonzero(~(bound * (3.0 * n * RANK_TOL) < 1.0) | empty):  # NaN bounds too
+        cols = slice(first[c] + 1, first[c] + sizes[c])
+        XtX = np.block([[A, B[:, cols]], [B[:, cols].T, np.diag(B[0, cols])]])
+        columns = _indicator_columns(trt, adjustments[c], sizes[c])
+        try:
+            coef, lam, V = _solve_normal_equations(XtX, np.concatenate([u, v[cols]]), columns)
+        except (RankDeficiencyError, np.linalg.LinAlgError) as exc:
+            out[kept[c]] = exc
+            continue
+        beta[c], delta[cols], xtx_inv[c] = coef[:a], coef[a:], (V[:a] / lam) @ V[:a].T
+
+    # fitted value of every cell, then of every record, partition by partition:
+    # cells in (partition, row, interval) order are in record order, which
+    # the (row, column) order of one partition already is
+    fitted = delta + beta[col_part].T
+    fitted[1:] += beta[col_part, 0]
+    if c_n > 1:
+        by_part = (a - 1) * first[col_part] + np.arange(a)[:, None] * (sizes + 1)[col_part]
+        by_part += np.arange(col_part.size)
+        fitted_by_part, counts_by_part = np.empty(fitted.size), np.empty(counts.size, np.intp)
+        fitted_by_part[by_part], counts_by_part[by_part] = fitted, counts
+        fitted, counts = fitted_by_part, counts_by_part
+    resid = np.repeat(fitted.ravel(), counts.ravel()).reshape(c_n, n)
+    resid -= y_ext[:n]
+    df = n - (a + sizes - 1)
+    sigma2 = np.einsum("ij,ij->i", resid, resid) / df
+    cov = sigma2[:, None, None] * xtx_inv
+    for c, (i, s2, dfc) in enumerate(zip(kept, sigma2.tolist(), df.tolist())):
+        if out[i] is None:
+            out[i] = OlsFit(beta=beta[c], cov=cov[c], sigma2_hat=s2, df=dfc, columns=head)
+    return out
+
+
+def _solve_each(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve`` of a stack, with NaN for the singular matrices."""
+    try:
+        return np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError:
+        out = np.full(rhs.shape, np.nan)
+        for k in range(M.shape[0]):
+            try:
+                out[k] = np.linalg.solve(M[k], rhs[k])
+            except np.linalg.LinAlgError:
+                pass
+        return out
 
 
 def t_test(

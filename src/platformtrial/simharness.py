@@ -14,7 +14,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -107,16 +107,25 @@ def replicate_seed(scenario: Scenario, index: int) -> np.random.SeedSequence:
     )
 
 
+class _Group(NamedTuple):
+    """What the cells of a data-key group share at one worker: the specs of
+    all its cells, and the analysis sets its cells have made, by replicate."""
+
+    specs: tuple[ModelSpec, ...]
+    sets: dict[int, AnalysisSet]
+
+
 def run_replicate(
-    scenario: Scenario, index: int, _shared: dict[int, AnalysisSet] | None = None
+    scenario: Scenario, index: int, _shared: _Group | None = None
 ) -> list[tuple[str, bool, bool, float]]:
     """One replicate: (estimator label, failed, reject, theta_hat) per estimator.
 
-    ``_shared`` maps replicate indices to analysis sets that cells with this
-    scenario's data key have already made; a missing one is made and added.
+    ``_shared`` is the data-key group of this scenario's cell: a set its cells
+    have already made is read, a missing one is made and added. A new set
+    plans the specs of the group, or of this cell alone.
     """
     M = scenario.config.M
-    analysis_set = None if _shared is None else _shared.get(index)
+    analysis_set = None if _shared is None else _shared.sets.get(index)
     if analysis_set is None:
         dataset = generate_trial(
             scenario.config, scenario.trend, scenario.hypothesis, seed=replicate_seed(scenario, index)
@@ -124,8 +133,9 @@ def run_replicate(
         # outside the per-fit try: a generated trial completes arm M, so this
         # cannot raise
         analysis_set = slice_for_arm(dataset, M)
+        analysis_set.planned.extend(scenario.estimators if _shared is None else _shared.specs)
         if _shared is not None:
-            _shared[index] = analysis_set
+            _shared.sets[index] = analysis_set
     out = []
     for spec in scenario.estimators:
         try:
@@ -142,7 +152,7 @@ def _run_chunk(scenario: Scenario, indices: Sequence[int]):
 
 
 def run_scenario(
-    scenario: Scenario, threads: int = 1, _shared: dict[int, AnalysisSet] | None = None
+    scenario: Scenario, threads: int = 1, _shared: _Group | None = None
 ) -> OperatingCharacteristics:
     """Estimate rejection rate, estimate moments, and failure counts per estimator.
 
@@ -281,15 +291,18 @@ def run_grid(grid: GridSpec, threads: int = 1) -> list[dict]:
 
     Consecutive cells with the same data key (the c_length axis) simulate the
     same datasets. At one worker they share each replicate's analysis set:
-    the group's first cell makes it, the others read it, and the sets are
-    dropped when the group ends.
+    the group's first cell makes it with every cell's specs planned, the
+    others read it, and the sets are dropped when the group ends.
     """
     rows = []
     with blas.single_thread():
         groups = itertools.groupby(grid._cells_with_axes(), key=lambda c: scenario_data_key(c[2]))
         for _, group in groups:
             group = list(group)
-            shared = {} if threads <= 1 and len(group) > 1 else None
+            shared = None
+            if threads <= 1 and len(group) > 1:
+                specs = dict.fromkeys(spec for *_, scenario in group for spec in scenario.estimators)
+                shared = _Group(tuple(specs), {})
             for lam, c_length, scenario in group:
                 oc = run_scenario(scenario, threads, shared)
                 for spec in scenario.estimators:

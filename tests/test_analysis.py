@@ -455,15 +455,21 @@ class TestPrepare:
 class TestKeptFits:
     @pytest.fixture
     def core_calls(self, monkeypatch):
-        """Every call of the fitting core that fit makes, i.e. every fit actually run."""
+        """Every fit actually run: each call of the fitting core that fit makes,
+        and each partition of the fixed-effect cell passes."""
         calls = []
-        real_fit = analysis._fit
+        real_fit, real_cells = analysis._fit, analysis.cell_ols_each
 
         def counting_fit(*args, **kwargs):
             calls.append(args)
             return real_fit(*args, **kwargs)
 
+        def counting_cells(records, partitions, horizon):
+            calls.extend(partitions)
+            return real_cells(records, partitions, horizon)
+
         monkeypatch.setattr(analysis, "_fit", counting_fit)
+        monkeypatch.setattr(analysis, "cell_ols_each", counting_cells)
         return calls
 
     @staticmethod
@@ -514,6 +520,100 @@ class TestKeptFits:
         third = fit(prepared, 3, spec)
         assert third.diagnostics == expected
         assert len({id(r.diagnostics) for r in (first, second, third)}) == 3
+
+
+def imported_trial(rng, K, n, gap):
+    """Real-valued times in shuffled order, arms entering and leaving at
+    random, labelled 1..K in a random order; ``gap`` leaves a stretch of time
+    without records."""
+    t = np.sort(rng.uniform(1.0, float(n), n))
+    if gap:
+        lo = rng.uniform(1.0, n / 2)
+        t = t[(t < lo) | (t > lo + n / 4)]
+    entry = rng.uniform(1.0, 0.6 * n, K)
+    exit_ = entry + rng.uniform(0.2, 1.0, K) * (n - entry)
+    arm = np.array([rng.choice([0, *np.flatnonzero((entry <= x) & (x <= exit_)) + 1]) for x in t])
+    arm[rng.integers(t.size)] = rng.integers(1, K + 1)  # one experimental record at least
+    present = np.unique(arm[arm > 0])
+    relabel = np.zeros(K + 1, dtype=np.int64)
+    relabel[present] = rng.permutation(present.size) + 1
+    arm = relabel[arm]
+    y = 0.3 * arm + 0.002 * t + rng.normal(size=t.size)
+    order = rng.permutation(t.size)
+    return manual_dataset(arm[order], y[order], t[order]), present.size
+
+
+class TestFixedEffectBatch:
+    """One cell pass fits a set's planned fixed-effect specs as each alone."""
+
+    @staticmethod
+    def assert_batch_as_alone(ds, m, specs):
+        batch_set = slice_for_arm(ds, m)
+        batch_set.planned.extend(specs)
+        first = fit_outcome(batch_set, m, specs[0])
+        # a FitResult, or the class and message of the error
+        alone = [fit_outcome(slice_for_arm(ds, m), m, spec) for spec in specs]
+        # the first fit kept every spec that fits alone, and no other
+        assert set(batch_set.fits) == {s for s, r in zip(specs, alone) if not isinstance(r, tuple)}
+        assert first == alone[0] and not batch_set.planned
+        for spec, expected in zip(specs, alone):
+            # a kept fit is answered, a failed one raises again on every call
+            assert fit_outcome(batch_set, m, spec) == expected
+            assert fit_outcome(batch_set, m, spec) == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        K=st.integers(min_value=2, max_value=8),
+        imported=st.booleans(),
+        gap=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        data=st.data(),
+    )
+    def test_each_spec_fits_as_alone(self, K, imported, gap, seed, data):
+        rng = np.random.default_rng(seed)
+        if imported:
+            ds, n_arms = imported_trial(rng, K, data.draw(st.integers(20, 300), label="n"), gap)
+        else:
+            config = make_config(K=K, d=data.draw(st.integers(0, 60), label="d"),
+                                 n=data.draw(st.integers(2, 40), label="n"), theta=(0.25,) * K, M=K)
+            ds, n_arms = generate_trial(config, TrendSpec("linear", (0.5,) * (K + 1)), "null",
+                                        seed=seed), K
+        m = data.draw(st.integers(1, n_arms), label="m")
+        span = float(ds.t.max() - ds.t.min())
+        c_lengths = data.draw(st.lists(
+            st.one_of(st.floats(1.0, 1.5 * span + 1.0), st.integers(1, int(1.5 * span) + 2),
+                      st.just(span + 1.0)),
+            min_size=1, max_size=6), label="c_lengths")
+        specs = [ModelSpec("fixed_calendar", c_length=c) for c in c_lengths]
+        specs.insert(data.draw(st.integers(0, len(specs)), label="period_at"),
+                     ModelSpec("fixed_period", sided=data.draw(st.sampled_from(["one_greater", "two"]))))
+        self.assert_batch_as_alone(ds, m, specs)
+
+    def test_exact_fit_degenerate_in_the_batch_as_alone(self):
+        # the dataset of test_exact_fit_degenerate_in_least_squares_estimators
+        arm = np.array([0, 1] * 10)
+        ds = manual_dataset(arm, np.where(arm == 1, 3.7, 7.4))
+        specs = [ModelSpec("fixed_calendar", c_length=c) for c in (5, 20, 7.5)]
+        self.assert_batch_as_alone(ds, 1, [*specs, ModelSpec("fixed_period")])
+        with pytest.raises(ConfigError, match="degenerate"):
+            fit(manual_set(arm, np.where(arm == 1, 3.7, 7.4)), 1, specs[0])
+
+    def test_equal_specs_fitted_once(self, monkeypatch):
+        partitions = []
+        real_cells = analysis.cell_ols_each
+
+        def counting_cells(records, parts, horizon):
+            partitions.extend(parts)
+            return real_cells(records, parts, horizon)
+
+        monkeypatch.setattr(analysis, "cell_ols_each", counting_cells)
+        analysis_set = TestKeptFits.sliced()
+        specs = [ModelSpec("fixed_calendar", c_length=50), ModelSpec("fixed_calendar", c_length=50.0),
+                 ModelSpec("fixed_period"), ModelSpec("fixed_period")]
+        analysis_set.planned.extend(specs)
+        results = [fit(analysis_set, 3, spec) for spec in specs]
+        assert len(partitions) == 2
+        assert results[0] == results[1] and results[2] == results[3]
 
 
 class TestMonteCarloProperties:

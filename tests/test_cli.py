@@ -116,6 +116,28 @@ class TestValidate:
         assert main(["validate", str(path)]) == 2
         assert "models[1]: duplicate of models[0]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key, values", [
+        ("calendar", "c_length", [50, 50.0]),
+        ("trend", "lambda", [0.25, 0.5, 0.25]),
+        ("trial", "d", [20, 20]),
+        ("trend", "patterns", ["none", "none"]),
+        ("run", "hypotheses", ["null", "null"]),
+    ])
+    def test_repeated_axis_value_rejected(self, tmp_path, capsys, section, key, values):
+        # each value of a grid axis makes its own cells: a repeat ran them twice
+        path = write_config(tmp_path, models=[{"estimator": "fixed_calendar"}],
+                            calendar={"c_length": [50]})
+        doc = json.loads(path.read_text())
+        doc[section][key] = values
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        first = values.index(values[-1])
+        assert (f"{section}.{key}[{len(values) - 1}]: duplicate of {section}.{key}[{first}]"
+                in capsys.readouterr().err)
+        doc[section][key] = values[:-1]
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 0
+
     def test_print_config_round_trips(self, tmp_path, capsys):
         path = write_config(tmp_path, calendar={"c_length": [50, 100]})
         assert main(["validate", str(path), "--print-config"]) == 0

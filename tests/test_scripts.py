@@ -19,10 +19,17 @@ def test_reml_fit_by_fit_compares_a_tree_with_itself(tmp_path):
         "models": [{"estimator": "mixed_period"}, {"estimator": "mixed_period_ar1"}],
         "run": {"hypotheses": ["null"], "replicates": 3, "seed": 7},
     }))
-    out = subprocess.run(
+    run = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "reml_fit_by_fit.py"), str(ROOT), str(config)],
         capture_output=True, text=True, check=True, timeout=300,
-    ).stdout.splitlines()
+    )
+    out = run.stdout.splitlines()
+    # the grid run once per tree: every fit call the same in both
+    per_estimator = [line.split() for line in run.stderr.splitlines()]
+    assert per_estimator[0] == ["estimator", "fits", "differ", "max_rel",
+                                "failed_parent", "failed_change"]
+    assert [row[:4] for row in per_estimator[1:]] == [
+        ["mixed_period", "3", "0", "0"], ["mixed_period_ar1", "3", "0", "0"]]
     assert out[0].split()[:4] == ["structure", "fits", "worse", "worst_gap"]
     rows = {line.split()[0]: line.split()[1:] for line in out[1:]}
     assert set(rows) == {"ar1", "independent"}
@@ -49,10 +56,14 @@ def test_fit_timing_compares_a_tree_with_itself(tmp_path):
         "models": [{"estimator": "fixed_calendar"}, {"estimator": "separate"}],
         "run": {"hypotheses": ["null"], "replicates": 3, "seed": 7},
     }))
-    out = subprocess.run(
+    run = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "fit_timing.py"), str(ROOT), str(config)],
         capture_output=True, text=True, check=True, timeout=300,
-    ).stdout.splitlines()
+    )
+    out = run.stdout.splitlines()
+    # the whole group on a fresh set: its 3 distinct specs
+    (group,) = [line.split() for line in run.stderr.splitlines()]
+    assert group[:4] == ["group", "(3", "specs)", "-"] and all(float(us) > 0 for us in group[4:])
     assert out[0].split() == ["estimator", "c_length", "us_parent", "us_change", "ratio"]
     rows = [line.split() for line in out[1:]]
     # one row per distinct spec of the group: separate ignores c_length

@@ -244,10 +244,11 @@ class TestSharedAnalysisSets:
 
     def test_group_fits_each_distinct_spec_once(self, monkeypatch):
         # per replicate, the 3 cells call fit 4 times each, but spline_period
-        # and separate ignore c_length: 3 + 1 + 3 + 1 distinct fits
+        # and separate ignore c_length: 3 + 1 + 3 + 1 distinct fits, the 3
+        # fixed_calendar partitions in one cell pass
         grid = self.grid(replicates=2)
-        fits, core_calls = [], []
-        real_fit, real_core = simharness.fit, analysis._fit
+        fits, core_calls, cell_passes = [], [], []
+        real_fit, real_core, real_cells = simharness.fit, analysis._fit, analysis.cell_ols_each
 
         def counting_fit(*args):
             fits.append(args)
@@ -257,11 +258,18 @@ class TestSharedAnalysisSets:
             core_calls.append(args)
             return real_core(*args, **kwargs)
 
+        def counting_cells(records, partitions, horizon):
+            core_calls.extend(partitions)
+            cell_passes.append(len(partitions))
+            return real_cells(records, partitions, horizon)
+
         monkeypatch.setattr(simharness, "fit", counting_fit)
         monkeypatch.setattr(analysis, "_fit", counting_core)
+        monkeypatch.setattr(analysis, "cell_ols_each", counting_cells)
         run_grid(grid, threads=1)
         assert len(fits) == 2 * grid.replicates * 3 * 4
         assert len(core_calls) == 2 * grid.replicates * 8
+        assert cell_passes == [3] * (2 * grid.replicates)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_cells_share_a_mapping_only_within_a_data_key_group(self, monkeypatch, threads):
@@ -281,7 +289,11 @@ class TestSharedAnalysisSets:
         else:
             assert shared[0] is shared[1] is shared[2] and shared[3] is shared[4] is shared[5]
             assert shared[0] is not shared[3]
-            assert sorted(shared[0]) == sorted(shared[3]) == [0, 1]
+            assert sorted(shared[0].sets) == sorted(shared[3].sets) == [0, 1]
+            # every cell's specs, each once: c_length-free specs are equal
+            assert [s.label for s in shared[0].specs] == [
+                "fixed_calendar", "spline_period_q3", "mixed_calendar", "separate",
+                "fixed_calendar", "mixed_calendar", "fixed_calendar", "mixed_calendar"]
         seen.clear()
         run_grid(self.grid(c_lengths=(10.0,)), threads=threads)
         assert [m for _, m in seen] == [None, None]  # groups of one cell keep no mapping
