@@ -84,25 +84,28 @@ def build_design(
     then time columns. Period/calendar adjustments add indicators for
     intervals 2..end (the first interval is the reference level); the
     spline adjustment adds the basis columns with the first one dropped to
-    keep the design full rank next to the intercept.
+    keep the design full rank next to the intercept. X is one C-ordered
+    array, and each block is written into its columns.
     """
     times = np.asarray(times, dtype=float)
-    arms = np.asarray(arms)
     trt = sorted(treatments)
-    cols = [np.ones(times.size)] + [(arms == k).astype(float) for k in trt]
+    a = len(trt) + 1
     if adjustment == "spline":
         if basis is None:
             raise ConfigError("spline adjustment needs a SplineBasis")
         B = basis_matrix(times, basis)
-        # drop first basis column (intercept present)
-        cols += [B[:, i] for i in range(1, B.shape[1])]
+        X = np.empty((times.size, a + B.shape[1] - 1))
+        X[:, a:] = B[:, 1:]  # drop first basis column (intercept present)
         labels = _indicator_columns(trt, "none", 1) + [f"bs{i + 1}" for i in range(1, B.shape[1])]
     else:
         idx = _interval_index(times, adjustment, starts, horizon)
         n_intervals = 1 if idx is None else len(starts)
-        cols += [(idx == s).astype(float) for s in range(2, n_intervals + 1)]
+        X = np.empty((times.size, a + n_intervals - 1))
+        if idx is not None:
+            np.equal(idx[:, None], np.arange(2, n_intervals + 1), out=X[:, a:])
         labels = _indicator_columns(trt, adjustment, n_intervals)
-    X = np.column_stack(cols)
+    X[:, 0] = 1.0
+    np.equal(np.asarray(arms)[:, None], trt, out=X[:, 1:a])
     return DesignMatrix(X=X, y=np.asarray(y, dtype=float), columns=tuple(labels))
 
 

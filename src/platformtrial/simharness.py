@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import blas
+from . import blas, spline
 from .analysis import AnalysisSet, FitResult, ModelSpec, fit, slice_for_arm
 from .datagen import TrendSpec, generate_trial
 from .design import ConfigError, TrialConfig
@@ -159,7 +159,8 @@ def run_scenario(
     Failed replicates (non-convergence or fit errors) are excluded from the
     rates and reported in ``failures``. Replicates run with every OpenBLAS at
     one thread; ``threads`` worker processes (at most one per replicate) run
-    them in parallel, in balanced contiguous chunks. Replicates run in this
+    them in parallel, in balanced contiguous chunks; the workers fork from
+    this process and inherit the modules it has imported. Replicates run in this
     process read and fill ``_shared`` (see ``run_replicate``).
     """
     n = scenario.replicates
@@ -167,6 +168,8 @@ def run_scenario(
     workers = min(threads, n)
     with blas.single_thread():  # forked workers inherit the one-thread counts
         if workers > 1:
+            if any(spec.kind.family == "spline" for spec in scenario.estimators):
+                spline.preload()  # once here, not in every forked worker
             chunks = [indices[i * n // workers:(i + 1) * n // workers] for i in range(workers)]
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 chunk_results = pool.map(_run_chunk, itertools.repeat(scenario), chunks)

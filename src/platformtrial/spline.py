@@ -1,6 +1,13 @@
-"""B-spline basis over recruitment time, with knots at the interval starts of a time partition."""
+"""B-spline basis over recruitment time, with knots at the interval starts of a time partition.
+
+The basis is evaluated dense by scipy's ``BSpline``. ``scipy.interpolate``
+is imported at the first evaluation, not with the package, whose import
+it would slow; :func:`preload` imports it before worker processes fork, so
+that they inherit it instead of each importing it.
+"""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -54,16 +61,29 @@ def knots_at(starts: Sequence[float], horizon: float, degree: int = 3) -> Spline
     return SplineBasis(degree=degree, inner_knots=inner, boundary=(lo, float(horizon)))
 
 
-def basis_matrix(times: np.ndarray, basis: SplineBasis) -> np.ndarray:
-    """Evaluate all basis functions at the given times (scipy's B-spline design matrix).
+def preload() -> None:
+    """Import what :func:`basis_matrix` imports, ahead of its first call."""
+    import scipy.interpolate  # noqa: F401
 
-    Returns an array of shape (len(times), basis.dim); each row sums to 1.
-    The final interval is closed on the right so t == t_max is valid.
+
+def basis_matrix(times: np.ndarray, basis: SplineBasis) -> np.ndarray:
+    """Evaluate all basis functions at the given times.
+
+    Returns a C-ordered array of shape (len(times), basis.dim); each row
+    sums to 1. The final interval is closed on the right so t == t_max is
+    valid. The values are scipy's ``BSpline`` evaluated with identity
+    coefficients, one spline per basis function: bit for bit the dense form
+    of ``BSpline.design_matrix``, without its sparse array. Non-finite times
+    and times outside the boundary raise ``ConfigError``.
     """
     from scipy.interpolate import BSpline  # deferred: importing it slows package import
 
     t = np.asarray(times, dtype=float)
     lo, hi = basis.boundary
-    if t.size and (t.min() < lo or t.max() > hi):
-        raise ConfigError(f"spline evaluated outside boundary [{lo}, {hi}]")
-    return BSpline.design_matrix(t, basis.padded_knots(), basis.degree).toarray()
+    if t.size:
+        t_min, t_max = t.min(), t.max()  # NaN if any time is NaN
+        if not (math.isfinite(t_min) and math.isfinite(t_max)):
+            raise ConfigError("spline times must be finite (NaN or infinite time)")
+        if t_min < lo or t_max > hi:
+            raise ConfigError(f"spline evaluated outside boundary [{lo}, {hi}]")
+    return BSpline(basis.padded_knots(), np.eye(basis.dim), basis.degree, extrapolate=False)(t)

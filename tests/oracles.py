@@ -7,7 +7,9 @@ column-pivoted QR instead of the normal equations, the closed-form
 pooled-variance t statistic instead of a regression on an arm indicator,
 a dense whitened QR fit instead of the group counts and sums, a
 patient-by-patient randomization loop instead of drawing the blocks
-between two events at once.
+between two events at once, scipy's sparse B-spline design matrix instead
+of its dense evaluation, a list of stacked columns instead of one design
+array written block by block.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import qr, solve_triangular
 
-from platformtrial.design import ConfigError, entry_times
+from platformtrial.design import ConfigError, entry_times, interval_indices
 
 
 def naive_bspline(x: float, k: int, i: int, t: np.ndarray) -> float:
@@ -36,6 +38,39 @@ def naive_bspline(x: float, k: int, i: int, t: np.ndarray) -> float:
 def naive_basis_row(x: float, degree: int, knots: np.ndarray) -> np.ndarray:
     n_fun = len(knots) - degree - 1
     return np.array([naive_bspline(x, degree, i, knots) for i in range(n_fun)])
+
+
+def dense_spline_basis(times: np.ndarray, basis) -> np.ndarray:
+    """Every basis function at every time, from scipy's sparse design matrix."""
+    from scipy.interpolate import BSpline
+
+    t = np.asarray(times, dtype=float)
+    return BSpline.design_matrix(t, basis.padded_knots(), basis.degree).toarray()
+
+
+def column_stack_design(times, arms, treatments, adjustment="none", starts=None, horizon=None,
+                        basis=None) -> tuple[np.ndarray, tuple[str, ...]]:
+    """(X, column labels) of a fixed-effect design, stacked from 1-D columns.
+
+    Intercept, one indicator per arm in ``treatments``, then the indicators
+    of intervals 2..S (``period``/``calendar``) or the spline basis without
+    its first function (``spline``).
+    """
+    times = np.asarray(times, dtype=float)
+    arms = np.asarray(arms)
+    trt = sorted(treatments)
+    cols = [np.ones(times.size)] + [(arms == k).astype(float) for k in trt]
+    labels = ["intercept"] + [f"trt{k}" for k in trt]
+    if adjustment == "spline":
+        B = dense_spline_basis(times, basis)
+        cols += [B[:, i] for i in range(1, B.shape[1])]
+        labels += [f"bs{i + 1}" for i in range(1, B.shape[1])]
+    elif adjustment != "none":
+        idx = interval_indices(times, starts, horizon)
+        cols += [(idx == s).astype(float) for s in range(2, len(starts) + 1)]
+        prefix = "per" if adjustment == "period" else "cal"
+        labels += [f"{prefix}{s}" for s in range(2, len(starts) + 1)]
+    return np.column_stack(cols), tuple(labels)
 
 
 def t_pdf(x: float, df: float) -> float:

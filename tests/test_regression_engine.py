@@ -17,8 +17,9 @@ from platformtrial.regression_engine import (
     t_test,
     wald_test,
 )
+from platformtrial.spline import knots_at
 
-from oracles import normal_equations_ols, qr_ols, t_sf_quad
+from oracles import column_stack_design, normal_equations_ols, qr_ols, t_sf_quad
 
 
 class TestStudentT:
@@ -309,6 +310,33 @@ class TestBuildDesign:
         )
         assert adjusted.columns == plain.columns
         assert np.array_equal(adjusted.X, plain.X)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    adjustment=st.sampled_from(["none", "period", "calendar", "spline"]),
+    K=st.integers(1, 4),
+    n_starts=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_build_design_equals_stacked_columns(adjustment, K, n_starts, seed):
+    # arm K + 1 is outside the treatments; with three or more intervals the
+    # second is empty
+    rng = np.random.default_rng(seed)
+    horizon = 40.0 * n_starts
+    starts = (1.0, *np.sort(rng.choice(np.arange(2.0, horizon), n_starts - 1, replace=False)))
+    times = np.r_[1.0, rng.uniform(1.0, horizon, size=30 * n_starts), horizon]
+    if n_starts > 2:
+        times = times[(times < starts[1]) | (times >= starts[2])]
+    arms = rng.integers(0, K + 2, size=times.size)
+    treatments = rng.permutation(np.arange(1, K + 1)).tolist()
+    kw = {"none": {}, "spline": {"basis": knots_at(starts, horizon)}}.get(
+        adjustment, {"starts": starts, "horizon": horizon})
+    dm = build_design(times, arms, rng.normal(size=times.size), treatments, adjustment, **kw)
+    X, columns = column_stack_design(times, arms, treatments, adjustment, **kw)
+    assert np.array_equal(dm.X, X)
+    assert dm.X.flags.c_contiguous
+    assert dm.columns == columns
 
 
 class TestWaldTest:

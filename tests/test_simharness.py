@@ -71,6 +71,16 @@ class TestRunScenario:
         parallel = run_scenario(small_scenario(), threads=2)
         assert serial.per_estimator == parallel.per_estimator
 
+    @pytest.mark.parametrize("estimator, threads, preloads", [
+        ("spline_period", 2, 1), ("spline_period", 1, 0), ("fixed_period", 2, 0),
+    ])
+    def test_spline_module_loaded_once_before_a_pool(self, monkeypatch, estimator, threads,
+                                                      preloads):
+        calls = []
+        monkeypatch.setattr(simharness.spline, "preload", lambda: calls.append(1))
+        run_scenario(small_scenario(estimators=(ModelSpec(estimator),), replicates=2), threads)
+        assert len(calls) == preloads
+
     def test_mc_se_formula(self):
         oc = run_scenario(small_scenario())
         st = oc.per_estimator["fixed_period"]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from platformtrial.design import ConfigError, derive_calendar
 from platformtrial.regression_engine import DesignMatrix, build_design, ols_fit
 from platformtrial.spline import SplineBasis, basis_matrix, knots_at
 
-from oracles import naive_basis_row
+from oracles import dense_spline_basis, naive_basis_row
 
 
 class TestKnotPlacement:
@@ -108,6 +110,34 @@ class TestBasisMatrix:
         basis = SplineBasis(degree=2, inner_knots=(), boundary=(0.0, 1.0))
         with pytest.raises(ConfigError):
             basis_matrix(np.array([1.5]), basis)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time(self, bad):
+        basis = SplineBasis(degree=2, inner_knots=(0.5,), boundary=(0.0, 1.0))
+        with pytest.raises(ConfigError, match="spline times must be finite"):
+            basis_matrix(np.array([0.25, bad, 0.75]), basis)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    degree=st.sampled_from([1, 2, 3]),
+    lo=st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+    width=st.floats(min_value=1e-2, max_value=1e4, allow_nan=False),
+    # inner knots at least 1e-6 of the width from a boundary: a knot a
+    # subnormal distance away overflows both evaluations
+    fractions=st.lists(st.floats(min_value=1e-6, max_value=1.0 - 1e-6), max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_basis_matrix_equals_sparse_design_matrix(degree, lo, width, fractions, seed):
+    hi = lo + width
+    inner = tuple(sorted({k for k in (lo + f * width for f in fractions) if lo < k < hi}))
+    basis = SplineBasis(degree=degree, inner_knots=inner, boundary=(lo, hi))
+    rng = np.random.default_rng(seed)
+    integers = np.arange(math.ceil(lo), math.floor(hi) + 1.0)
+    times = np.r_[lo, hi, inner, rng.choice(integers, min(integers.size, 50), replace=False),
+                  rng.uniform(lo, hi, size=50)]
+    times = rng.permutation(times)
+    assert np.array_equal(basis_matrix(times, basis), dense_spline_basis(times, basis))
 
 
 @settings(max_examples=60, deadline=None)
