@@ -15,7 +15,8 @@ Prints, per covariance structure: the fit count, the number of fits whose
 -2 REML under the change is worse than the parent's by more than 1e-9, the
 worst such gap (change minus parent; negative when the change is better on
 every fit), the number better by more than 1e-9, each tree's non-converged
-and failed (raising) fits, each tree's mean and maximum objective
+and failed (raising) fits, each tree's boundary fits (gamma at or below
+``mixed_model.BOUNDARY_GAMMA``), each tree's mean and maximum objective
 evaluations per successful fit (``MixedFit.iterations``), and each tree's
 median wall time per refit in ms. Each stage runs in its own interpreter
 with that tree's ``src`` on the path.
@@ -156,12 +157,13 @@ def refit(fits_path: str, out: str) -> None:
 
 def score(fits_path: str, parent_path: str, change_path: str) -> None:
     """Score both trees' estimates with this tree's objective and print the table."""
-    from platformtrial.mixed_model import _RemlWorkspace
+    from platformtrial.mixed_model import BOUNDARY_GAMMA, _RemlWorkspace
 
     fits, parent_runs, change_runs = (load(path) for path in (fits_path, parent_path, change_path))
     parent, change = ([estimate for estimate, _ in runs] for runs in (parent_runs, change_runs))
     print(f"{'structure':<12} {'fits':>5} {'worse':>5} {'worst_gap':>10} {'better':>6} "
           f"{'nonconv_parent':>14} {'nonconv_change':>14} {'failed_parent':>13} {'failed_change':>13} "
+          f"{'boundary_parent':>15} {'boundary_change':>15} "
           f"{'evals_mean_parent':>17} {'evals_mean_change':>17} "
           f"{'evals_max_parent':>16} {'evals_max_change':>16} "
           f"{'ms_p50_parent':>13} {'ms_p50_change':>13}")
@@ -176,12 +178,14 @@ def score(fits_path: str, parent_path: str, change_path: str) -> None:
             gaps.append(b - a)
         nonconv = [sum(1 for i in rows if r[i] is not None and not r[i][2]) for r in (parent, change)]
         failed = [sum(1 for i in rows if r[i] is None) for r in (parent, change)]
+        boundary = [sum(1 for i in rows if r[i] is not None and r[i][0] <= BOUNDARY_GAMMA)
+                    for r in (parent, change)]
         evals = [[r[i][3] for i in rows if r[i] is not None] or [0] for r in (parent, change)]
         ms = [1e3 * statistics.median(runs[i][1] for i in rows) for runs in (parent_runs, change_runs)]
         worst = f"{max(gaps):.3g}" if gaps else "-"
         print(f"{structure:<12} {len(rows):>5} {sum(g > TOL for g in gaps):>5} {worst:>10} "
               f"{sum(g < -TOL for g in gaps):>6} {nonconv[0]:>14} {nonconv[1]:>14} "
-              f"{failed[0]:>13} {failed[1]:>13} "
+              f"{failed[0]:>13} {failed[1]:>13} {boundary[0]:>15} {boundary[1]:>15} "
               f"{statistics.mean(evals[0]):>17.2f} {statistics.mean(evals[1]):>17.2f} "
               f"{max(evals[0]):>16} {max(evals[1]):>16} {ms[0]:>13.3f} {ms[1]:>13.3f}")
 

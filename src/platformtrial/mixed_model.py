@@ -6,13 +6,15 @@ so the random design is a group code per record and a fit needs only group
 statistics. The restricted likelihood is profiled down to gamma =
 sigma2_random / sigma2 (log scale) and, for AR(1), rho (atanh scale). An
 evaluation is one Cholesky factorization of [X y]'W^-1 [X y], formed
-elementwise in the groups after one m x m eigh for AR(1). The independent
-structure has gamma alone, so a scan on log gamma brackets the optimum and a
-bounded scalar search refines it; AR(1) starts Nelder-Mead from a scan over
-(log gamma, atanh rho).
+elementwise in the groups after one m x m eigh for AR(1), and a vector of
+gamma at one rho is evaluated as one stack. The independent structure has
+gamma alone, so one stacked scan of log gamma at step 1 brackets the optimum
+and a bounded scalar search refines it; AR(1) starts Nelder-Mead from a scan
+over (log gamma, atanh rho).
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -28,14 +30,8 @@ _MAX_EVALS = 500  # objective evaluations per fit, scan included
 _FATOL = 1e-8
 _LOG_GAMMA_BOUND = 34.0
 _LOG_GAMMA_SCAN = (-10.0, -6.0, -3.0, -1.0, 0.0, 1.0, 3.0)  # the surface can be flat in gamma
-# the independent scan runs from bound to bound and adds points below -10, so
-# that an interior optimum there is bracketed instead of lost to the boundary
-_LOG_GAMMA_SCAN_INDEPENDENT = (
-    -_LOG_GAMMA_BOUND, -26.0, -20.0, -14.0, *_LOG_GAMMA_SCAN, _LOG_GAMMA_BOUND
-)
-# evaluated only when 3 or the upper bound scores best: the bracket between
-# them is wide enough to hold a local minimum away from the optimum
-_LOG_GAMMA_SCAN_UPPER = (6.0, 10.0, 14.0, 20.0, 26.0)
+# the independent scan, bound to bound at step 1: no bracket is wider than 2
+_LOG_GAMMA_GRID = np.arange(-_LOG_GAMMA_BOUND, _LOG_GAMMA_BOUND + 1.0)
 _ATANH_RHO_BOUND = 18.0
 # gamma = sigma2_random / sigma2 at or below this is reported as a boundary
 # (gamma -> 0) solution; boundary fits end at exp(-_LOG_GAMMA_BOUND) ~ 1.7e-15
@@ -127,36 +123,42 @@ class _RemlWorkspace:
         self.sqrt_dd = np.sqrt(np.outer(self.d, self.d))
         self.T = means[1:][kept] * np.sqrt(self.d)[:, None]
 
-    def evaluate(self, gamma: float, rho: float, structure: str):
-        """(-2 log restricted likelihood, L, sigma2) for W = I + gamma Z R Z'.
+    def evaluate(self, gammas: np.ndarray, rho: float, structure: str):
+        """(-2 log restricted likelihood, L, sigma2) for W = I + gamma Z R Z' at each gamma.
 
         A'W^-1 A is formed elementwise in gamma in the eigenbasis of H (lam = d
-        when independent) and L is its lower Cholesky factor: L11 factors X'W^-1 X,
-        the last row (l21', l22) gives beta = b0 + L11^-T l21, and l22^2 is the
-        residual sum of squares, so sigma2 = l22^2 / (n - p). -2 REML omits
-        (n-p)log(2pi). A non-PD A'W^-1 A, which includes a zero residual, raises
-        LinAlgError.
+        when independent); L stacks its lower Cholesky factors: L11 factors
+        X'W^-1 X, the last row (l21', l22) gives beta = b0 + L11^-T l21, and
+        l22^2 is the residual sum of squares. -2 REML omits (n-p)log(2pi). Where
+        I + gamma H (rounding in eigh at |rho| -> 1) or A'W^-1 A (a zero residual
+        included) is not PD, the score is _PENALTY and sigma2 and diag(L) are NaN.
         """
         if structure == "ar1":
             lam, Q = np.linalg.eigh(rho**self.lags * self.sqrt_dd)
             T = Q.T @ self.T
         else:
             lam, T = self.d, self.T
-        w = 1.0 + gamma * lam
-        if w.min() <= 0.0:  # rounding in eigh at |rho| -> 1
-            raise np.linalg.LinAlgError("I + gamma H is not positive definite")
-        L = np.linalg.cholesky(self.within + (T.T / w) @ T)
+        w = 1.0 + np.multiply.outer(gammas, lam)
+        if w.min() <= 0.0:  # rounding in eigh at |rho| -> 1; NaN propagates to L and the score
+            w[(w <= 0.0).any(axis=1)] = np.nan
+        A = self.within + (T.T / w[:, None, :]) @ T
+        try:
+            L = np.linalg.cholesky(A)
+        except np.linalg.LinAlgError:  # factor one by one, so that only the failing gammas fail
+            L = np.full_like(A, np.nan)
+            for i, Ai in enumerate(A):
+                with contextlib.suppress(np.linalg.LinAlgError):
+                    L[i] = np.linalg.cholesky(Ai)
         df = self.n - self.p
-        sigma2 = L[-1, -1] ** 2 / df
-        logdet_x = 2.0 * float(np.log(np.diag(L)[:-1]).sum())
-        return df * math.log(sigma2) + float(np.log(w).sum()) + logdet_x + df, L, sigma2
+        diag = np.diagonal(L, axis1=1, axis2=2)
+        sigma2 = diag[:, -1] ** 2 / df
+        logdet_x = 2.0 * np.log(diag[:, :-1]).sum(axis=1)
+        neg2 = df * np.log(sigma2) + np.log(w).sum(axis=1) + logdet_x + df
+        return np.where(np.isnan(neg2), _PENALTY, neg2), L, sigma2
 
     def neg2ll(self, gamma: float, rho: float, structure: str) -> float:
-        """The REML objective: -2 REML, or _PENALTY where it cannot be evaluated."""
-        try:
-            return self.evaluate(gamma, rho, structure)[0]
-        except np.linalg.LinAlgError:
-            return _PENALTY
+        """The REML objective at one gamma: -2 REML, or _PENALTY where it cannot be evaluated."""
+        return float(self.evaluate(np.array([gamma]), rho, structure)[0][0])
 
 
 def reml_fit(
@@ -173,17 +175,16 @@ def reml_fit(
     AR(1) lags are code distances. One group leaves rho unidentified, so its
     AR(1) fit is the independent fit, with rho None.
 
-    Independent structure: the objective is scanned at the log gamma points
-    of ``_LOG_GAMMA_SCAN_INDEPENDENT``, from bound to bound (+-34), and, when
-    3 or the upper bound scores best, also at ``_LOG_GAMMA_SCAN_UPPER``. If the
-    lower bound is best, the boundary gamma -> 0 is the solution (legitimate,
-    not an error) and no search runs; otherwise a bounded scalar search runs
-    between the best point's two scan neighbours, and the better of its result
-    and that point is returned. AR(1):
-    Nelder-Mead on (log gamma, atanh rho) from the best point of a 21-point
-    scan. A fit whose search exhausts the evaluation budget before meeting its
-    tolerance is returned with converged=False. ``iterations`` counts every
-    objective evaluation, scan included.
+    Independent structure: one stacked evaluation at ``_LOG_GAMMA_GRID``, log
+    gamma from bound to bound (+-34) at step 1. If the lower bound is best,
+    the boundary gamma -> 0 is the solution (legitimate, not an error) and no
+    search runs; otherwise a bounded scalar search runs between the best
+    point's two neighbours, and the better of its result and that point is
+    returned. AR(1): Nelder-Mead on (log gamma, atanh rho) from the best point
+    of a 21-point scan. A fit whose search exhausts the evaluation budget
+    before meeting its tolerance is returned with converged=False.
+    ``iterations`` counts every objective evaluation, each scan point
+    included. A final A'W^-1 A that is not positive definite raises LinAlgError.
     """
     if cov_structure not in ("independent", "ar1"):
         raise ConfigError(f"unknown covariance structure {cov_structure!r}")
@@ -203,10 +204,10 @@ def reml_fit(
     evals = 0
 
     def unpack(log_gamma, atanh_rho=0.0):
-        gamma = math.exp(float(np.clip(log_gamma, -_LOG_GAMMA_BOUND, _LOG_GAMMA_BOUND)))
+        gamma = math.exp(min(max(float(log_gamma), -_LOG_GAMMA_BOUND), _LOG_GAMMA_BOUND))
         if cov_structure == "independent":
             return gamma, 0.0
-        return gamma, math.tanh(float(np.clip(atanh_rho, -_ATANH_RHO_BOUND, _ATANH_RHO_BOUND)))
+        return gamma, math.tanh(min(max(float(atanh_rho), -_ATANH_RHO_BOUND), _ATANH_RHO_BOUND))
 
     def objective(*x):
         nonlocal evals
@@ -227,11 +228,8 @@ def reml_fit(
         )
         best, converged = tuple(res.x), bool(res.success)
     else:
-        scan = list(_LOG_GAMMA_SCAN_INDEPENDENT)
-        values = [objective(lg) for lg in scan]
-        if scan[int(np.argmin(values))] >= _LOG_GAMMA_SCAN[-1]:
-            scan[-1:-1] = _LOG_GAMMA_SCAN_UPPER
-            values[-1:-1] = [objective(lg) for lg in _LOG_GAMMA_SCAN_UPPER]
+        scan, evals = _LOG_GAMMA_GRID, _LOG_GAMMA_GRID.size  # the scan is one stacked evaluation
+        values = work.evaluate(np.array([math.exp(lg) for lg in scan.tolist()]), 0.0, cov_structure)[0]
         i = int(np.argmin(values))
         best, converged = (scan[i],), True
         if i > 0:  # at i == 0 the boundary gamma -> 0 is best and needs no search
@@ -245,7 +243,9 @@ def reml_fit(
             if res.fun < values[i]:  # never fall behind the scan
                 best = (res.x,)
     gamma, rho = unpack(*best)
-    neg2, L, sigma2 = work.evaluate(gamma, rho, cov_structure)
+    (neg2,), (L,), (sigma2,) = work.evaluate(np.array([gamma]), rho, cov_structure)
+    if math.isnan(sigma2):
+        raise np.linalg.LinAlgError("[X y]'W^-1 [X y] is not positive definite at the estimate")
     df, L11_inv = work.n - work.p, np.linalg.inv(L[:-1, :-1])
     return MixedFit(
         beta=work.b0 + L11_inv.T @ L[-1, :-1],

@@ -27,7 +27,11 @@ def check_degree(degree) -> None:
 
 @dataclass(frozen=True)
 class SplineBasis:
-    """Degree-q B-spline basis on [t_min, t_max] with the given inner knots."""
+    """Degree-q B-spline basis on [t_min, t_max] with the given inner knots.
+
+    Knots, boundaries included, must increase by gaps with a finite reciprocal:
+    the basis recursion divides by them, and a subnormal gap gives NaN rows.
+    """
 
     degree: int
     inner_knots: tuple[float, ...]
@@ -42,6 +46,11 @@ class SplineBasis:
             raise ConfigError("inner knots must be strictly increasing")
         if any(not lo < k < hi for k in self.inner_knots):
             raise ConfigError("inner knots must lie strictly inside the boundary")
+        knots = (lo, *self.inner_knots, hi)
+        for a, b in zip(knots, knots[1:]):
+            if not math.isfinite(1.0 / (b - a)):
+                raise ConfigError(f"knots {a!r} and {b!r} are too close: their gap {b - a!r} "
+                                  "has no finite reciprocal")
 
     @property
     def dim(self) -> int:

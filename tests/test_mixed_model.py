@@ -251,7 +251,7 @@ class TestRemlFit:
 
     @pytest.mark.parametrize(
         "structure, n_scan",
-        [("independent", len(mixed_model._LOG_GAMMA_SCAN_INDEPENDENT)), ("ar1", 21)],
+        [("independent", mixed_model._LOG_GAMMA_GRID.size), ("ar1", 21)],
         ids=["independent", "ar1"],
     )
     def test_exhausted_budget_reported_as_not_converged(self, monkeypatch, structure, n_scan):
@@ -267,17 +267,19 @@ class TestRemlFit:
     @pytest.mark.parametrize("structure", ["independent", "ar1"])
     @pytest.mark.parametrize("sd_u, seed", [(0.0, 2), (0.9, 3)], ids=["boundary", "interior"])
     def test_iterations_count_objective_calls(self, monkeypatch, structure, sd_u, seed):
-        calls = []
-        original = _RemlWorkspace.neg2ll
+        sizes = []
+        original = _RemlWorkspace.evaluate
 
-        def counted(self, *args):
-            calls.append(args)
-            return original(self, *args)
+        def counted(self, gammas, *args):
+            sizes.append(len(gammas))
+            return original(self, gammas, *args)
 
-        monkeypatch.setattr(_RemlWorkspace, "neg2ll", counted)
+        monkeypatch.setattr(_RemlWorkspace, "evaluate", counted)
         X, groups, y = one_way_instance(g=6, m_per=10, sd_u=sd_u, seed=seed)
         fit = reml_fit(X, groups, y, cov_structure=structure)
-        assert fit.iterations == len(calls) > 0
+        # every gamma scored counts; the last call is the final fit at the estimate
+        assert sizes[-1] == 1
+        assert fit.iterations == sum(sizes[:-1]) > 0
 
     def test_rank_deficient_fixed_design_rejected(self):
         X = np.ones((30, 2))
@@ -363,6 +365,78 @@ def test_objective_matches_dense_oracle_on_random_designs(n, p, m, seed, log10_g
     dense = dense_reml_neg2ll(X, groups, y, gamma, rho)
     # relative, with a floor of 1: -2 REML can cross zero
     assert abs(ours - dense) <= 1e-10 * max(abs(dense), 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(min_value=4, max_value=40),
+    p=st.integers(min_value=1, max_value=3),
+    m=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    log_gammas=st.lists(st.floats(min_value=-34.0, max_value=34.0), max_size=12),
+    rho=st.floats(min_value=-0.95, max_value=0.95),
+    structure=st.sampled_from(["independent", "ar1"]),
+    log10_scale=st.floats(min_value=0.0, max_value=3.0),
+)
+def test_stacked_evaluation_matches_one_point_calls(n, p, m, seed, log_gammas, rho, structure,
+                                                    log10_scale):
+    # the designs of the oracle test above, at the bounds and up to 12 more
+    # gammas in one stack
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
+    groups = rng.integers(0, m + 1, n)
+    groups[:2] = m, 0
+    beta = 10.0**log10_scale * rng.normal(size=p)
+    y = X @ beta + rng.normal(size=m + 1)[groups] + rng.normal(size=n)
+    if structure == "independent":
+        rho = 0.0
+    gammas = np.exp([-34.0, *log_gammas, 34.0])
+    work = _RemlWorkspace(X, groups, y)
+    values, _, sigma2 = work.evaluate(gammas, rho, structure)
+    assert values.shape == sigma2.shape == gammas.shape
+    for gamma, value, s2 in zip(gammas, values, sigma2):
+        one = work.neg2ll(gamma, rho, structure)
+        # relative, with a floor of 1: -2 REML can cross zero
+        assert abs(value - one) <= 1e-13 * max(abs(one), 1.0)
+        (one_s2,) = work.evaluate(np.array([gamma]), rho, structure)[2]
+        assert (math.isnan(s2) and math.isnan(one_s2)) or abs(s2 - one_s2) <= 1e-13 * abs(one_s2)
+
+
+class TestStackFallback:
+    def test_indefinite_member_alone_is_penalised(self):
+        # at atanh rho = 18 the AR(1) correlation of 12 groups is all but rank
+        # one, and eigh rounds its small eigenvalues to either sign: with a
+        # negative one, I + gamma H is indefinite at the largest gammas only
+        rng = np.random.default_rng(4)
+        X = np.column_stack([np.ones(80), rng.normal(size=80)])
+        groups = np.r_[np.arange(1, 13), rng.integers(1, 13, 68)]
+        y = X @ [1.0, 2.0] + rng.normal(size=13)[groups] + rng.normal(size=80)
+        self.check(_RemlWorkspace(X, groups, y), math.tanh(18.0), "ar1")
+
+    def test_member_that_fails_to_factor_alone_is_penalised(self):
+        # one record per group and an intercept: the within-group cross-products
+        # are zero, so [X y]'W^-1 [X y] is zero at gamma = inf and PD below
+        rng = np.random.default_rng(1)
+        y = rng.normal(size=8)
+        work = _RemlWorkspace(np.ones((8, 1)), np.arange(1, 9), y)
+        assert not work.within.any()
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(work.within)
+        self.check(work, 0.0, "independent", extra=(np.inf,))
+
+    @staticmethod
+    def check(work, rho, structure, extra=()):
+        gammas = np.r_[np.exp(mixed_model._LOG_GAMMA_GRID), extra]
+        values, L, sigma2 = work.evaluate(gammas, rho, structure)
+        failed = values == mixed_model._PENALTY
+        assert failed[-1] and not failed[0]  # the largest gamma fails, the smallest does not
+        assert np.isnan(np.diagonal(L[failed], axis1=1, axis2=2)).all()
+        assert np.isnan(sigma2[failed]).all()
+        kept = work.evaluate(gammas[~failed], rho, structure)
+        for ours, alone in zip((values, L, sigma2), kept):
+            assert np.array_equal(ours[~failed], alone)
+        for gamma, value in zip(gammas, values):
+            assert work.neg2ll(gamma, rho, structure) == value
 
 
 @settings(max_examples=150, deadline=None)

@@ -37,9 +37,10 @@ def test_reml_fit_by_fit_compares_a_tree_with_itself(tmp_path):
         # the same tree refits the same fits to the same estimates
         assert int(fits) == 3 and int(worse) == int(better) == 0
         assert float(worst_gap) == 0.0
-        assert len(counts) == 10
-        # ... with the same evaluations, and times its refits
-        evals_mean, evals_max, ms_p50 = counts[4:6], counts[6:8], counts[8:10]
+        assert len(counts) == 12
+        # ... with the same boundary fits and evaluations, and times its refits
+        boundary, evals_mean, evals_max, ms_p50 = (counts[i:i + 2] for i in (4, 6, 8, 10))
+        assert boundary[0] == boundary[1]
         assert evals_mean[0] == evals_mean[1] and float(evals_mean[0]) > 0
         assert evals_max[0] == evals_max[1] and int(evals_max[0]) >= float(evals_mean[0])
         assert all(float(ms) > 0 for ms in ms_p50)

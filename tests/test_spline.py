@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from platformtrial.design import ConfigError, derive_calendar
@@ -49,6 +49,18 @@ class TestKnotPlacement:
     def test_unsorted_inner_knots(self):
         with pytest.raises(ConfigError):
             SplineBasis(degree=2, inner_knots=(5.0, 2.0), boundary=(0.0, 10.0))
+
+    # both evaluated to a row of NaN at t = 0 before they were rejected
+    @pytest.mark.parametrize("degree, knot, gap", [(1, 5e-324, "5e-324"), (3, 1e-310, "1e-310")])
+    def test_knots_without_finite_reciprocal_gap_rejected(self, degree, knot, gap):
+        with pytest.raises(ConfigError, match=f"knots 0.0 and {gap} are too close: their gap {gap}"):
+            SplineBasis(degree=degree, inner_knots=(knot,), boundary=(0.0, 1.0))
+
+    def test_close_knots_with_finite_reciprocal_gap_accepted(self):
+        basis = SplineBasis(degree=3, inner_knots=(1e-308,), boundary=(0.0, 1.0))
+        B = basis_matrix(np.array([0.0, 1e-308, 0.5, 1.0]), basis)
+        assert np.isfinite(B).all()
+        assert np.abs(B.sum(axis=1) - 1.0).max() < 1e-12
 
 
 class TestBasisMatrix:
@@ -123,11 +135,13 @@ class TestBasisMatrix:
     degree=st.sampled_from([1, 2, 3]),
     lo=st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
     width=st.floats(min_value=1e-2, max_value=1e4, allow_nan=False),
-    # inner knots at least 1e-6 of the width from a boundary: a knot a
-    # subnormal distance away overflows both evaluations
+    # inner knots at least 1e-6 of the width from a boundary; SplineBasis
+    # rejects a knot a subnormal distance away, and the example below holds
+    # one 1e-308 away, which it accepts
     fractions=st.lists(st.floats(min_value=1e-6, max_value=1.0 - 1e-6), max_size=12),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(degree=3, lo=0.0, width=1.0, fractions=[1e-308], seed=0)
 def test_basis_matrix_equals_sparse_design_matrix(degree, lo, width, fractions, seed):
     hi = lo + width
     inner = tuple(sorted({k for k in (lo + f * width for f in fractions) if lo < k < hi}))
