@@ -19,7 +19,9 @@ and failed (raising) fits, each tree's boundary fits (gamma at or below
 ``mixed_model.BOUNDARY_GAMMA``), each tree's mean and maximum objective
 evaluations per successful fit (``MixedFit.iterations``), and each tree's
 median wall time per refit in ms. Each stage runs in its own interpreter
-with that tree's ``src`` on the path.
+with that tree's ``src`` on the path. The refits run in ``CHUNKS`` contiguous
+chunks, the two trees alternating chunk by chunk and taking turns to go
+first, so that drift in the host's speed reaches both trees' times alike.
 
 The refits share the parent tree's inputs, so they cannot see a change to
 how those inputs are built (the random-effect codes, say). So the grid also
@@ -44,6 +46,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TOL = 1e-9
+CHUNKS = 8
 
 
 def load(path: str):
@@ -128,30 +131,36 @@ def compare_fits(parent_path: str, change_path: str) -> None:
               f"{failed_parent:>13} {failed_change:>13}", file=sys.stderr)
 
 
-def refit(fits_path: str, out: str) -> None:
-    """Refit every captured fit: (gamma, rho, converged, evaluations), or None
-    where it fails, each with the refit's wall time in seconds.
+def refit(fits_path: str, out: str, chunk: str) -> None:
+    """Refit chunk ``chunk`` of ``CHUNKS`` of the captured fits: (gamma, rho,
+    converged, evaluations), or None where it fails, each with the refit's
+    wall time in seconds.
 
     A known fit failure counts as failed; any other exception stops the
     comparison.
     """
     import numpy as np
 
+    from platformtrial import blas
     from platformtrial.design import ConfigError
     from platformtrial.mixed_model import reml_fit
     from platformtrial.regression_engine import RankDeficiencyError
 
+    fits = load(fits_path)
+    c = int(chunk)
     results = []
-    for X, groups, y, structure in load(fits_path):
-        start = time.perf_counter()
-        try:
-            fit = reml_fit(X, groups, y, cov_structure=structure)
-        except (ConfigError, RankDeficiencyError, np.linalg.LinAlgError):
-            results.append((None, time.perf_counter() - start))
-        else:
-            elapsed = time.perf_counter() - start
-            estimate = (fit.sigma2_random / fit.sigma2, fit.rho or 0.0, fit.converged, fit.iterations)
-            results.append((estimate, elapsed))
+    with blas.single_thread():  # as the grid runs its fits
+        for X, groups, y, structure in fits[len(fits) * c // CHUNKS:len(fits) * (c + 1) // CHUNKS]:
+            start = time.perf_counter()
+            try:
+                fit = reml_fit(X, groups, y, cov_structure=structure)
+            except (ConfigError, RankDeficiencyError, np.linalg.LinAlgError):
+                results.append((None, time.perf_counter() - start))
+            else:
+                elapsed = time.perf_counter() - start
+                estimate = (fit.sigma2_random / fit.sigma2, fit.rho or 0.0, fit.converged,
+                            fit.iterations)
+                results.append((estimate, elapsed))
     dump(results, out)
 
 
@@ -214,8 +223,12 @@ def main(argv=None) -> int:
                 *("" if v is None else str(v) for v in (args.reps, args.seed)))
         run_stage(parent, "capture", *grid, fits, grid_parent)
         run_stage(ROOT, "fits", *grid, grid_change)
-        run_stage(parent, "refit", fits, res_parent)
-        run_stage(ROOT, "refit", fits, res_change)
+        trees = [(parent, res_parent), (ROOT, res_change)]
+        for c in range(CHUNKS):
+            for tree, out in trees[::-1] if c % 2 else trees:
+                run_stage(tree, "refit", fits, f"{out}.{c}", str(c))
+        for _, out in trees:
+            dump([r for c in range(CHUNKS) for r in load(f"{out}.{c}")], out)
         run_stage(parent, "score", fits, res_parent, res_change)
         compare_fits(grid_parent, grid_change)
     return 0
