@@ -47,6 +47,7 @@ REPEATS = 5  # timed fits per set and spec
 def time_fits(config: str, out: str) -> None:
     """Write {"data": fingerprint, "us": [[label, c_length, median us], ...],
     "group_us": median us for the whole group}."""
+    import inspect
     import itertools
 
     from platformtrial.analysis import fit, slice_for_arm
@@ -63,14 +64,23 @@ def time_fits(config: str, out: str) -> None:
     datasets = [generate_trial(first.config, first.trend, first.hypothesis,
                                seed=replicate_seed(first, i)) for i in range(DATASETS)]
     specs = list(dict.fromkeys(spec for cell in group for spec in cell.estimators))
+    made_for_plan = "planned" in inspect.signature(slice_for_arm).parameters
+
+    def fresh_set(dataset, plan):
+        """A new set that plans ``plan``: made for it, or, in a tree whose sets
+        take no ``planned`` argument, told after it is made."""
+        if made_for_plan:
+            return slice_for_arm(dataset, M, planned=plan)
+        fresh = slice_for_arm(dataset, M)
+        getattr(fresh, "planned", []).extend(plan)
+        return fresh
 
     def median_us(fitted, plan=()):
         """Median us to fit ``fitted`` in turn on a fresh set that plans ``plan``."""
         times = []
         for dataset in datasets:
             for _ in range(REPEATS):
-                fresh = slice_for_arm(dataset, M)
-                getattr(fresh, "planned", []).extend(plan)
+                fresh = fresh_set(dataset, plan)
                 start = time.perf_counter()
                 try:
                     for spec in fitted:

@@ -30,7 +30,6 @@ from .regression_engine import (
     OlsFit,
     RankDeficiencyError,
     build_design,
-    cell_ols,
     ols_fit,
     t_sf,
     t_test,
@@ -60,7 +59,6 @@ __all__ = [
     "TrialTimeline",
     "basis_matrix",
     "build_design",
-    "cell_ols",
     "default_model_set",
     "derive_calendar",
     "derive_periods",

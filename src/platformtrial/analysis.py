@@ -13,9 +13,8 @@ import numpy as np
 from . import mixed_model, spline
 from .datagen import TrialDataset
 from .design import ConfigError, TrialTimeline, derive_calendar, derive_periods
-from .regression_engine import (
-    OlsFit, build_design, cell_ols_each, ols_fit, sort_cells, wald_test,
-)
+from .regression_engine import (OlsFit, RankDeficiencyError, build_design, cell_ols_each,
+                                ols_fit, raise_if_exact, sort_cells, wald_test)
 
 
 @dataclass(frozen=True)
@@ -51,7 +50,9 @@ ESTIMATORS = {
     "separate": Estimator(None, "separate"),
 }
 
-_EPS = float(np.finfo(float).eps)
+# The known statistical failures of a fit, which fit keeps like results: a collinear
+# design, a degenerate test (an exact fit included), a non-PD REML estimate.
+FIT_FAILURES = (RankDeficiencyError, ConfigError, np.linalg.LinAlgError)
 
 RESULT_FIELDS = ("estimator", "arm", "theta_hat", "se", "p_one", "p_two", "reject")
 
@@ -104,18 +105,16 @@ class FitResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def default_model_set(c_length: float, spline_degree: int = 3, **opts) -> tuple[ModelSpec, ...]:
-    """The standard analysis battery: fixed, mixed (calendar), spline, baselines."""
-    return (
-        ModelSpec("fixed_period", **opts),
-        ModelSpec("fixed_calendar", c_length=c_length, **opts),
-        ModelSpec("mixed_calendar", c_length=c_length, **opts),
-        ModelSpec("mixed_calendar_ar1", c_length=c_length, **opts),
-        ModelSpec("spline_period", spline_degree=spline_degree, **opts),
-        ModelSpec("spline_calendar", c_length=c_length, spline_degree=spline_degree, **opts),
-        ModelSpec("pooled", **opts),
-        ModelSpec("separate", **opts),
-    )
+def default_model_set(c_length: float | None = None, spline_degree: int = 3,
+                      **opts) -> tuple[ModelSpec, ...]:
+    """The standard analysis battery: fixed, mixed (calendar), spline, baselines;
+    without a ``c_length``, its specs that need none."""
+    calendar, knots = {"c_length": c_length}, {"spline_degree": spline_degree}
+    battery = (("fixed_period", {}), ("fixed_calendar", calendar), ("mixed_calendar", calendar),
+               ("mixed_calendar_ar1", calendar), ("spline_period", knots),
+               ("spline_calendar", {**calendar, **knots}), ("pooled", {}), ("separate", {}))
+    return tuple(ModelSpec(name, **kw, **opts) for name, kw in battery
+                 if c_length is not None or not ESTIMATORS[name].needs_c_length)
 
 
 @dataclass(frozen=True)
@@ -125,10 +124,10 @@ class AnalysisSet:
     Built by :func:`slice_for_arm`. Its arrays are read-only, so one set can
     serve every fit of a replicate, and every grid cell that shares the data,
     without a fit being able to change it for the next. ``fits`` holds the
-    result of every spec :func:`fit` has fitted on the set, so a spec shared
-    by several cells is fitted once. ``planned`` lists the specs its callers
-    will ask for: the first fixed-effect fit fits every fixed-effect spec
-    planned there in one pass.
+    outcome of every spec :func:`fit` has fitted on the set, its result or
+    its known failure, so a spec shared by several cells is fitted once.
+    ``planned`` lists the specs its callers will ask for: the first
+    fixed-effect fit fits every fixed-effect spec planned there in one pass.
     """
 
     m: int
@@ -140,12 +139,10 @@ class AnalysisSet:
     treatments: tuple[int, ...]
     m_entry: float
     timeline: TrialTimeline
-    fits: dict[ModelSpec, FitResult] = field(
+    fits: dict[ModelSpec, FitResult | Exception] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    planned: list[ModelSpec] = field(
-        default_factory=list, init=False, repr=False, compare=False
-    )
+    planned: tuple[ModelSpec, ...] = field(default=(), repr=False, compare=False)
 
     @cached_property
     def period_starts(self) -> tuple[float, ...]:
@@ -154,13 +151,13 @@ class AnalysisSet:
         return derive_periods(tl.entry, tl.exit, self.horizon, origin=self.origin)
 
 
-def slice_for_arm(dataset: TrialDataset, m: int) -> AnalysisSet:
+def slice_for_arm(dataset: TrialDataset, m: int, planned: Sequence[ModelSpec] = ()) -> AnalysisSet:
     """The analysis set of arm m: every record up to arm m's exit time.
 
     Partial data of arms still recruiting at that time is kept. Raises
     ``ConfigError`` when arm m has no records, or fewer than the dataset's
     ``n_target``. The set's arrays are read-only copies of the cut, so the
-    caller's dataset stays writable.
+    caller's dataset stays writable. The set plans the specs in ``planned``.
     """
     if m < 1:
         raise ConfigError("the evaluated arm must be an experimental arm (>= 1)")
@@ -190,19 +187,21 @@ def slice_for_arm(dataset: TrialDataset, m: int) -> AnalysisSet:
         treatments=tuple(sorted(int(k) for k in np.unique(arm) if k != 0)),
         m_entry=float(m_entry),
         timeline=tl,
+        planned=tuple(planned),
     )
 
 
 def fit(data: AnalysisSet, m: int, spec: ModelSpec) -> FitResult:
     """Fit one estimator to the analysis set of arm m.
 
-    ``data`` is the set :func:`slice_for_arm` made for arm m. A fit is a
-    function of (set, spec), so the set keeps each successful fit in
-    ``data.fits`` and answers an equal spec from there; every call gets its
-    own ``diagnostics`` dict. A failed fit is not kept and raises again. A
-    fixed-effect spec is fitted in one pass with the set's ``planned``
-    fixed-effect specs that it has not kept, if it is the first; a batch
-    leaves each fit as it would be alone.
+    ``data`` is the set :func:`slice_for_arm` made for arm m. A fit's
+    outcome is a function of (set, spec): its result, or one of the
+    ``FIT_FAILURES``. The set keeps it in ``data.fits``, and an equal spec
+    returns the result, each call with its own ``diagnostics`` dict, or
+    raises the failure, without fitting again. Any other exception is not
+    kept. A fixed-effect spec is fitted in one pass with the set's
+    ``planned`` fixed-effect specs that it has not kept; a batch leaves each
+    fit as it would be alone.
     """
     if not isinstance(data, AnalysisSet):
         raise ConfigError(
@@ -211,19 +210,29 @@ def fit(data: AnalysisSet, m: int, spec: ModelSpec) -> FitResult:
     if data.m != m:
         raise ConfigError(f"analysis set made for arm {data.m}, not for arm {m}")
     kept = data.fits.get(spec)
-    if kept is None and spec.kind.family == "fixed":
-        batch = list(dict.fromkeys([spec, *(s for s in data.planned if s.kind.family == "fixed"
-                                            and s not in data.fits)]))
-        data.planned.clear()
-        outcomes = _fit_fixed(data, batch)
-        data.fits.update((s, r) for s, r in zip(batch, outcomes) if isinstance(r, FitResult))
-        if isinstance(outcomes[0], Exception):
-            raise outcomes[0]
+    if kept is None:
+        if spec.kind.family == "fixed":
+            batch = list(dict.fromkeys([spec, *(s for s in data.planned if s.kind.family == "fixed"
+                                                and s not in data.fits)]))
+            outcomes = _fit_fixed(data, batch)
+        else:
+            batch = [spec]
+            try:
+                outcomes = [_fit(data, spec)]
+            except FIT_FAILURES as exc:
+                outcomes = [exc]
+        for s, outcome in zip(batch, outcomes):
+            if isinstance(outcome, Exception):
+                outcome.__traceback__ = None  # its frames would hold the set or a cell pass
+            data.fits[s] = outcome
         kept = outcomes[0]
-    elif kept is None:
-        kept = data.fits[spec] = _fit(data, spec)
-    return FitResult(kept.estimator, kept.arm, kept.theta_hat, kept.se, kept.t, kept.p_one,
-                     kept.p_two, kept.reject, dict(kept.diagnostics))
+    if isinstance(kept, FitResult):
+        return FitResult(kept.estimator, kept.arm, kept.theta_hat, kept.se, kept.t, kept.p_one,
+                         kept.p_two, kept.reject, dict(kept.diagnostics))
+    try:
+        raise kept
+    finally:
+        kept.__traceback__ = None  # the frame of this call holds the set that keeps it
 
 
 def _fit(prep: AnalysisSet, spec: ModelSpec) -> FitResult:
@@ -314,10 +323,7 @@ def _result(prep: AnalysisSet, spec: ModelSpec, estimate, diag: dict, y: np.ndar
     """The Wald test of arm m's coefficient, with the fit's sizes in ``diag``."""
     m, n = prep.m, y.size
     if isinstance(estimate, OlsFit):
-        # an exact fit leaves a residual of rounding noise, of order at most
-        # (n eps)^2 y'y, instead of the zero it is
-        if estimate.sigma2_hat * estimate.df <= (n * _EPS) ** 2 * float(y @ y):
-            raise ConfigError("degenerate test: zero standard error")
+        raise_if_exact(estimate, y)
     wt = wald_test(estimate, f"trt{m}", sided=spec.sided, alpha=spec.alpha)
     # every fit has df = n - p, also the REML fits
     diag.update(df=estimate.df, n_obs=n, n_columns=n - estimate.df)

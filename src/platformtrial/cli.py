@@ -297,14 +297,7 @@ def cmd_simulate(args) -> int:
 def _parse_models(args) -> list[ModelSpec]:
     opts = {"alpha": args.alpha, "sided": args.sided}
     if args.models is None:
-        if args.c_length is not None:
-            return list(default_model_set(args.c_length, spline_degree=args.spline_degree, **opts))
-        return [
-            ModelSpec("fixed_period", **opts),
-            ModelSpec("spline_period", spline_degree=args.spline_degree, **opts),
-            ModelSpec("pooled", **opts),
-            ModelSpec("separate", **opts),
-        ]
+        return list(default_model_set(args.c_length, spline_degree=args.spline_degree, **opts))
     specs = []
     for name in args.models.split(","):
         name = name.strip()
@@ -328,8 +321,8 @@ def cmd_analyze(args) -> int:
     dataset = read_csv(args.data)
     if not (dataset.arm == args.arm).any():
         raise ConfigError(f"arm {args.arm} absent from {args.data}")
-    analysis_set = slice_for_arm(dataset, args.arm)
     specs = _parse_models(args)
+    analysis_set = slice_for_arm(dataset, args.arm, planned=specs)
     results = [fit(analysis_set, args.arm, spec) for spec in specs]
     print(f"{'estimator':<22} {'estimate':>10} {'std.error':>10} {'p_one':>8} {'p_two':>8}")
     for r in results:

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .design import ConfigError, interval_indices
-from .regression_engine import DesignMatrix, ols_fit
+from .regression_engine import DesignMatrix, ols_fit, raise_if_exact
 
 _PENALTY = 1e12
 _MAX_EVALS = 20_000  # objective evaluations per fit, grid included
@@ -107,8 +107,11 @@ class _RemlWorkspace:
         self.columns = tuple(columns if columns is not None else (f"x{i}" for i in range(self.p)))
         # fit y - X b0 for the OLS b0: beta shifts by b0 and the objective is
         # unchanged, but y'W^-1 y - beta'X'W^-1 y no longer cancels. The OLS
-        # fit also rejects a rank-deficient X, naming its columns.
-        self.b0 = ols_fit(DesignMatrix(X=X, y=y, columns=self.columns)).beta
+        # fit also rejects a rank-deficient X, naming its columns, and an exact
+        # fit, which leaves sigma2 = 0 at every (rho, gamma) for the search.
+        start = ols_fit(DesignMatrix(X=X, y=y, columns=self.columns))
+        raise_if_exact(start, y)
+        self.b0 = start.beta
         A = np.column_stack([X, y - X @ self.b0])
         counts = np.bincount(groups).astype(float)
         q = A.shape[1]  # one bincount of (group, column) pairs sums every column
@@ -201,9 +204,10 @@ def reml_fit(
     and its lowest local minima (one when independent, two for AR(1)) are
     zoomed, except at the lower bound of log gamma: that is the boundary gamma
     -> 0 solution (legitimate, not an error). The lowest point found is the
-    estimate; a non-PD A'W^-1 A there raises LinAlgError. A fit whose next zoom
-    level would exceed _MAX_EVALS stops with converged=False. ``iterations``
-    counts every objective evaluation, each grid point included.
+    estimate; a non-PD A'W^-1 A there raises LinAlgError. An exact fit raises
+    the ConfigError of ``raise_if_exact`` before the grid. A fit whose next
+    zoom level would exceed _MAX_EVALS stops with converged=False.
+    ``iterations`` counts every objective evaluation, each grid point included.
     """
     if cov_structure not in ("independent", "ar1"):
         raise ConfigError(f"unknown covariance structure {cov_structure!r}")

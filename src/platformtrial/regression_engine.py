@@ -1,10 +1,11 @@
 """Least-squares core: design assembly, OLS by the normal equations, t-tests.
 
-Least squares has two entry points with one rank rule: :func:`ols_fit` on a
-row-level design from :func:`build_design` (the spline designs, the
-two-sample t-tests, REML's starting shift), and :func:`cell_ols` on the
-interval-indicator designs of the fixed-effect estimators, from per-(arm x
-interval) cell counts and sums. scipy provides the Student-t distribution.
+Least squares has two entry points with one rank rule and one exact-fit rule
+(:func:`raise_if_exact`): :func:`ols_fit` on a row-level design from
+:func:`build_design` (the spline designs, the two-sample t-tests, REML's
+starting shift), and :func:`cell_ols_each` on the interval-indicator designs
+of the fixed-effect estimators, from per-(arm x interval) cell counts and
+sums. scipy provides the Student-t distribution.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from .design import ConfigError, interval_indices
 from .spline import SplineBasis, basis_matrix
 
 RANK_TOL = 1e-10  # smallest eigenvalue of X'X relative to its largest
+_EPS = float(np.finfo(float).eps)
 _NULL_WEIGHT = 1e-6  # |entry| of a null eigenvector above which its column is named
 
 
@@ -149,6 +151,13 @@ def ols_fit(dm: DesignMatrix) -> OlsFit:
                   columns=dm.columns)
 
 
+def raise_if_exact(fit: OlsFit, y: np.ndarray) -> None:
+    """Raise the degenerate-test ``ConfigError`` when ``fit`` reproduces y: its
+    residual is rounding noise, of order at most (n eps)^2 y'y, not the zero it is."""
+    if fit.sigma2_hat * fit.df <= (y.size * _EPS) ** 2 * float(y @ y):
+        raise ConfigError("degenerate test: zero standard error")
+
+
 def _check_size(n: int, p: int) -> None:
     if n <= p:
         raise ConfigError(f"need more observations than columns (n={n}, p={p})")
@@ -211,25 +220,6 @@ def sort_cells(times, arms, y, treatments: Sequence[int]) -> CellRecords:
             max((r[-1] for r in rows if r.size), default=-math.inf))
     return CellRecords(rows, bounds[:-1], y_ext, A, u, trt,
                        tuple(_indicator_columns(trt, "none", 1)), span)
-
-
-def cell_ols(
-    times: np.ndarray,
-    arms: np.ndarray,
-    y: np.ndarray,
-    treatments: Sequence[int],
-    adjustment: str = "none",
-    starts: Sequence[float] | None = None,
-    horizon: float | None = None,
-) -> OlsFit:
-    """``ols_fit(build_design(...))`` for the ``none``, ``period`` and
-    ``calendar`` adjustments, from cell counts and sums: :func:`cell_ols_each`
-    with one partition."""
-    (result,) = cell_ols_each(sort_cells(times, arms, y, treatments), [(adjustment, starts)],
-                              horizon)
-    if isinstance(result, Exception):
-        raise result
-    return result
 
 
 def cell_ols_each(

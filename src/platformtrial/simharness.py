@@ -121,28 +121,27 @@ def run_replicate(
     """One replicate: (estimator label, failed, reject, theta_hat) per estimator.
 
     ``_shared`` is the data-key group of this scenario's cell: a set its cells
-    have already made is read, a missing one is made and added. A new set
-    plans the specs of the group, or of this cell alone.
+    have already made is read, a missing one is made for the group's specs
+    and added. Without a group, the set is made for this cell's specs.
     """
     M = scenario.config.M
-    analysis_set = None if _shared is None else _shared.sets.get(index)
+    specs, sets = _Group(scenario.estimators, {}) if _shared is None else _shared
+    analysis_set = sets.get(index)
     if analysis_set is None:
         dataset = generate_trial(
             scenario.config, scenario.trend, scenario.hypothesis, seed=replicate_seed(scenario, index)
         )
         # outside the per-fit try: a generated trial completes arm M, so this
         # cannot raise
-        analysis_set = slice_for_arm(dataset, M)
-        analysis_set.planned.extend(scenario.estimators if _shared is None else _shared.specs)
-        if _shared is not None:
-            _shared.sets[index] = analysis_set
+        analysis_set = sets[index] = slice_for_arm(dataset, M, planned=specs)
     out = []
     for spec in scenario.estimators:
         try:
             r: FitResult = fit(analysis_set, M, spec)
             failed = not bool(r.diagnostics.get("converged", True))
             out.append((spec.label, failed, bool(r.reject), float(r.theta_hat)))
-        except Exception:  # rank deficiency etc.: recorded, never fatal
+        except Exception as exc:  # rank deficiency etc.: recorded, never fatal
+            exc.__traceback__ = None  # a kept failure would hold this frame, and the group's sets
             out.append((spec.label, True, False, float("nan")))
     return out
 

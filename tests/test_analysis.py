@@ -1,7 +1,9 @@
 import csv
+import gc
 import json
 import math
 import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from platformtrial import analysis
+from platformtrial import analysis, mixed_model
 from platformtrial.analysis import (
     ESTIMATORS,
     AnalysisSet,
@@ -319,24 +321,37 @@ class TestFitDispatch:
             r = fit(sl, 3, spec)
             assert r.theta_hat == pytest.approx(0.25, abs=1e-6), spec.label
 
-    @pytest.mark.parametrize("estimator", ["mixed_period", "mixed_calendar",
-                                           "mixed_period_ar1", "mixed_calendar_ar1"])
-    def test_exact_fit_fails_in_mixed_estimators(self, estimator):
-        # the fixed effects reproduce the response: the residual and sigma2 are zero
+    @staticmethod
+    def assert_exact_fit_degenerate(monkeypatch, estimator):
+        """The fixed effects reproduce the response: every model-based estimator
+        fails by the exact-fit rule, a mixed one before any REML evaluation.
+        Least squares leaves a residual sum of squares of up to 6.6e-31 y'y
+        here, not zero, and reported an SE of ~1e-15; REML searched its whole
+        grid, where sigma2 is zero at every point, and raised LinAlgError."""
+        evaluations = []
+        real_evaluate = mixed_model._RemlWorkspace.evaluate
+
+        def counting_evaluate(self, *args):
+            evaluations.append(args)
+            return real_evaluate(self, *args)
+
+        monkeypatch.setattr(mixed_model._RemlWorkspace, "evaluate", counting_evaluate)
         arm = np.array([0, 1] * 10)
         ds = manual_set(arm, np.where(arm == 1, 3.7, 7.4))
-        with pytest.raises(np.linalg.LinAlgError):
+        with pytest.raises(ConfigError, match="degenerate test: zero standard error"):
             fit(ds, 1, ModelSpec(estimator, c_length=5))
+        assert evaluations == []
+
+    @pytest.mark.parametrize("estimator", ["mixed_period", "mixed_calendar",
+                                           "mixed_period_ar1", "mixed_calendar_ar1",
+                                           "mixedint_period", "mixedint_calendar"])
+    def test_exact_fit_fails_in_mixed_estimators(self, monkeypatch, estimator):
+        self.assert_exact_fit_degenerate(monkeypatch, estimator)
 
     @pytest.mark.parametrize("estimator", ["fixed_period", "fixed_calendar",
                                            "spline_period", "spline_calendar"])
-    def test_exact_fit_degenerate_in_least_squares_estimators(self, estimator):
-        # the same exact fit: least squares leaves a residual sum of squares of
-        # up to 6.6e-31 y'y here, not zero, and reported an SE of ~1e-15
-        arm = np.array([0, 1] * 10)
-        ds = manual_set(arm, np.where(arm == 1, 3.7, 7.4))
-        with pytest.raises(ConfigError, match="degenerate"):
-            fit(ds, 1, ModelSpec(estimator, c_length=5))
+    def test_exact_fit_degenerate_in_least_squares_estimators(self, monkeypatch, estimator):
+        self.assert_exact_fit_degenerate(monkeypatch, estimator)
 
     def test_unsliced_dataset_rejected(self):
         ds = generate_trial(make_config(M=1), TrendSpec.none(4), "null", seed=6)
@@ -473,8 +488,9 @@ class TestKeptFits:
         return calls
 
     @staticmethod
-    def sliced(seed=4):
-        return slice_for_arm(generate_trial(make_config(d=100), TrendSpec.none(4), "null", seed=seed), 3)
+    def sliced(seed=4, planned=()):
+        dataset = generate_trial(make_config(d=100), TrendSpec.none(4), "null", seed=seed)
+        return slice_for_arm(dataset, 3, planned=planned)
 
     def test_equal_spec_answered_without_refitting(self, core_calls):
         prepared, fresh = self.sliced(), self.sliced()
@@ -500,13 +516,53 @@ class TestKeptFits:
             assert fit(prepared, 3, spec) == result == fit(self.sliced(), 3, spec)
 
     def test_failing_spec_raises_on_every_call(self, core_calls):
+        # an exact fit, by a cell pass and by _fit: fitted once, its failure kept
         arm = np.array([0, 1] * 10)
         prepared = manual_set(arm, np.where(arm == 1, 3.7, 7.4))
-        for calls in (1, 2, 3):
-            with pytest.raises(ConfigError, match="degenerate"):
-                fit(prepared, 1, ModelSpec("fixed_period"))
-            assert len(core_calls) == calls
+        specs = (ModelSpec("fixed_period"), ModelSpec("mixed_period"))
+        for fitted, spec in enumerate(specs, start=1):
+            for _ in range(3):
+                with pytest.raises(ConfigError, match="degenerate") as raised:
+                    fit(prepared, 1, spec)
+                assert len(core_calls) == fitted
+                assert raised.value is prepared.fits[spec]
+        assert list(prepared.fits) == list(specs)
+
+    def test_other_exceptions_not_kept(self, monkeypatch):
+        # a programming error is no outcome of the fit: raised on every call
+        calls = []
+
+        def broken_fit(*args):
+            calls.append(args)
+            raise TypeError("programming error")
+
+        monkeypatch.setattr(analysis, "_fit", broken_fit)
+        prepared = self.sliced()
+        for n in (1, 2, 3):
+            with pytest.raises(TypeError, match="programming error"):
+                fit(prepared, 3, ModelSpec("mixed_period"))
+            assert len(calls) == n
         assert prepared.fits == {}
+
+    @pytest.mark.parametrize("estimator", ["fixed_period", "mixed_period"])
+    def test_kept_failure_keeps_no_set_alive(self, estimator):
+        # without the cyclic collector, a set whose fits failed dies once
+        # dropped: the failure raised, and the planned one kept unraised
+        arm = np.array([0, 1] * 10)
+        planned = (ModelSpec(estimator), ModelSpec("fixed_calendar", c_length=5))
+        gc.disable()
+        try:
+            prepared = slice_for_arm(manual_dataset(arm, np.where(arm == 1, 3.7, 7.4)), 1,
+                                     planned=planned)
+            dropped = weakref.ref(prepared)
+            for _ in range(2):
+                with pytest.raises(ConfigError) as raised:
+                    fit(prepared, 1, ModelSpec(estimator))
+                assert raised.tb is not None  # the caller still gets a traceback
+            del prepared
+            assert dropped() is None
+        finally:
+            gc.enable()
 
     def test_every_call_gets_its_own_diagnostics(self):
         prepared = self.sliced()
@@ -548,16 +604,15 @@ class TestFixedEffectBatch:
 
     @staticmethod
     def assert_batch_as_alone(ds, m, specs):
-        batch_set = slice_for_arm(ds, m)
-        batch_set.planned.extend(specs)
+        batch_set = slice_for_arm(ds, m, planned=specs)
         first = fit_outcome(batch_set, m, specs[0])
         # a FitResult, or the class and message of the error
         alone = [fit_outcome(slice_for_arm(ds, m), m, spec) for spec in specs]
-        # the first fit kept every spec that fits alone, and no other
-        assert set(batch_set.fits) == {s for s, r in zip(specs, alone) if not isinstance(r, tuple)}
-        assert first == alone[0] and not batch_set.planned
+        # the first fit kept every spec's outcome, its result or its failure
+        assert set(batch_set.fits) == set(specs) and batch_set.planned == tuple(specs)
+        assert first == alone[0]
         for spec, expected in zip(specs, alone):
-            # a kept fit is answered, a failed one raises again on every call
+            # a kept fit is answered, a kept failure raised, on every call
             assert fit_outcome(batch_set, m, spec) == expected
             assert fit_outcome(batch_set, m, spec) == expected
 
@@ -607,10 +662,9 @@ class TestFixedEffectBatch:
             return real_cells(records, parts, horizon)
 
         monkeypatch.setattr(analysis, "cell_ols_each", counting_cells)
-        analysis_set = TestKeptFits.sliced()
         specs = [ModelSpec("fixed_calendar", c_length=50), ModelSpec("fixed_calendar", c_length=50.0),
                  ModelSpec("fixed_period"), ModelSpec("fixed_period")]
-        analysis_set.planned.extend(specs)
+        analysis_set = TestKeptFits.sliced(planned=specs)
         results = [fit(analysis_set, 3, spec) for spec in specs]
         assert len(partitions) == 2
         assert results[0] == results[1] and results[2] == results[3]

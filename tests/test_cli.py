@@ -241,6 +241,16 @@ class TestAnalyze:
         for r in rows:
             float(r["theta_hat"]), float(r["se"]), float(r["p_two"])
 
+    def test_battery_without_c_length_has_its_four_period_and_baseline_rows(self, tmp_path):
+        data, _ = make_dataset_csv(tmp_path)
+        out = tmp_path / "res.csv"
+        assert main(["analyze", "--data", str(data), "--arm", "2", "--out", str(out)]) == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["estimator"] for r in rows] == [
+            "fixed_period", "spline_period_q3", "pooled", "separate",
+        ]
+
     def test_first_arm_pooled_equals_separate(self, tmp_path):
         data, _ = make_dataset_csv(tmp_path, seed=1)
         out = tmp_path / "res.csv"

@@ -11,8 +11,9 @@ from platformtrial.regression_engine import (
     DesignMatrix,
     RankDeficiencyError,
     build_design,
-    cell_ols,
+    cell_ols_each,
     ols_fit,
+    sort_cells,
     t_sf,
     t_test,
     wald_test,
@@ -170,6 +171,14 @@ def row_level_fit(*design):
     return ols_fit(build_design(*design))
 
 
+def cell_fit(times, arms, y, treatments, adjustment, starts, horizon):
+    """The one-partition cell fit of ``build_design``'s arguments, raising its error."""
+    (outcome,) = cell_ols_each(sort_cells(times, arms, y, treatments), [(adjustment, starts)], horizon)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     K=st.integers(min_value=1, max_value=4),
@@ -192,7 +201,7 @@ def test_cell_ols_decides_and_fits_like_ols_fit(K, n, span, n_starts, adjustment
     starts = tuple(sorted({times.min(), *inner}))
     y = 0.5 * arms + 0.1 * times + rng.normal(size=n)
     design = (times, arms, y, treatments, adjustment, starts, times.max())
-    rows, cells = fit_outcome(row_level_fit, *design), fit_outcome(cell_ols, *design)
+    rows, cells = fit_outcome(row_level_fit, *design), fit_outcome(cell_fit, *design)
     if isinstance(rows, Exception):
         assert type(cells) is type(rows) and str(cells) == str(rows)
         return
@@ -226,7 +235,7 @@ def test_cell_ols_decides_unproven_designs_by_the_exact_rule(monkeypatch, tol_ra
         return real_solve(*args)
 
     monkeypatch.setattr(regression_engine, "_solve_normal_equations", counting_solve)
-    rows, cells = fit_outcome(row_level_fit, *design), fit_outcome(cell_ols, *design)
+    rows, cells = fit_outcome(row_level_fit, *design), fit_outcome(cell_fit, *design)
     assert len(exact) == 2  # once in each fit
     assert np.array_equal(exact[0][0], exact[1][0])  # the same X'X
     if raises:
@@ -239,7 +248,7 @@ def test_cell_ols_decides_unproven_designs_by_the_exact_rule(monkeypatch, tol_ra
 
 
 class TestCellOlsRankDeficiency:
-    """Designs that ``ols_fit`` rejects: ``cell_ols`` names the same columns."""
+    """Designs that ``ols_fit`` rejects: ``cell_ols_each`` names the same columns."""
 
     @staticmethod
     def empty_interval():
@@ -272,7 +281,7 @@ class TestCellOlsRankDeficiency:
         with pytest.raises(RankDeficiencyError) as rows:
             row_level_fit(*args)
         with pytest.raises(RankDeficiencyError) as cells:
-            cell_ols(*args)
+            cell_fit(*args)
         assert cells.value.columns == rows.value.columns == involved
 
 

@@ -1,6 +1,7 @@
-import math
-
 import dataclasses
+import gc
+import math
+import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from platformtrial import analysis, blas, simharness
 from platformtrial.analysis import ModelSpec, slice_for_arm
 from platformtrial.datagen import TREND_PATTERNS, TrendSpec, generate_trial
 from platformtrial.design import ConfigError, TrialConfig
+from platformtrial.regression_engine import RankDeficiencyError
 from platformtrial.simharness import (
     GridSpec,
     Scenario,
@@ -280,6 +282,53 @@ class TestSharedAnalysisSets:
         assert len(fits) == 2 * grid.replicates * 3 * 4
         assert len(core_calls) == 2 * grid.replicates * 8
         assert cell_passes == [3] * (2 * grid.replicates)
+
+    @staticmethod
+    def fail_fixed_period(monkeypatch):
+        """Make every fixed_period fit fail; return the partitions of each cell pass."""
+        passes = []
+        real_cells = analysis.cell_ols_each
+
+        def failing_period(records, partitions, horizon):
+            passes.append(len(partitions))
+            outcomes = real_cells(records, partitions, horizon)
+            return [RankDeficiencyError(["per2"]) if adjustment == "period" else outcome
+                    for (adjustment, _), outcome in zip(partitions, outcomes)]
+
+        monkeypatch.setattr(analysis, "cell_ols_each", failing_period)
+        return passes
+
+    def test_failing_fixed_spec_costs_one_pass_per_replicate(self, monkeypatch, tmp_path):
+        # the group's first cell keeps the failure; its other cells read it
+        passes = self.fail_fixed_period(monkeypatch)
+        grid = self.grid(hypotheses=("null",), replicates=2, estimators=(
+            ModelSpec("fixed_period"), ModelSpec("fixed_calendar", c_length=1)))
+        rows = run_grid(grid, threads=1)
+        assert passes == [4, 4]
+        assert [r["failures"] for r in rows if r["estimator"] == "fixed_period"] == [2, 2, 2]
+        rows_to_csv(rows, tmp_path / "grid.csv")
+        alone = []
+        for c_length in grid.c_lengths:
+            alone += run_grid(dataclasses.replace(grid, c_lengths=(c_length,)), threads=1)
+        rows_to_csv(alone, tmp_path / "alone.csv")
+        assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+
+    def test_kept_failure_keeps_no_group_alive(self, monkeypatch):
+        # without the cyclic collector, a group's sets die with the group
+        self.fail_fixed_period(monkeypatch)
+        (scenario, *_) = self.grid(replicates=1).cells()
+        gc.disable()
+        try:
+            group = simharness._Group(scenario.estimators + (ModelSpec("fixed_period"),), {})
+            for _ in range(2):  # the second cell reads the kept failure
+                run_replicate(dataclasses.replace(
+                    scenario, estimators=(ModelSpec("fixed_period"),)), 0, group)
+            assert isinstance(group.sets[0].fits[ModelSpec("fixed_period")], RankDeficiencyError)
+            dropped = weakref.ref(group.sets[0])
+            del group
+            assert dropped() is None
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_cells_share_a_mapping_only_within_a_data_key_group(self, monkeypatch, threads):
