@@ -4,7 +4,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Sequence
 
@@ -13,8 +13,8 @@ import numpy as np
 from . import mixed_model, spline
 from .datagen import TrialDataset
 from .design import ConfigError, TrialTimeline, derive_calendar, derive_periods
-from .regression_engine import (OlsFit, RankDeficiencyError, build_design, cell_ols_each,
-                                ols_fit, raise_if_exact, sort_cells, wald_test)
+from .regression_engine import (DEGENERATE_TEST, RankDeficiencyError, build_design, cell_ols_each,
+                                exact_fits, ols_fit, sort_cells, wald_test)
 
 
 @dataclass(frozen=True)
@@ -80,12 +80,24 @@ class ModelSpec:
             raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.sided not in ("one_greater", "two"):
             raise ConfigError(f"sided must be 'one_greater' or 'two', got {self.sided!r}")
+        # a spec keys every kept fit, so its hash is taken once; a pickled spec
+        # is made anew (see __reduce__), as str hashes differ between processes
+        object.__setattr__(self, "_hash", hash(self._values()))
+
+    def _values(self) -> tuple:
+        return self.estimator, self.c_length, self.spline_degree, self.alpha, self.sided
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return ModelSpec, self._values()
 
     @property
     def kind(self) -> Estimator:
         return ESTIMATORS[self.estimator]
 
-    @property
+    @cached_property
     def label(self) -> str:
         if self.kind.family == "spline":
             return f"{self.estimator}_q{self.spline_degree}"
@@ -103,6 +115,18 @@ class FitResult:
     p_two: float
     reject: bool
     diagnostics: dict = field(default_factory=dict)
+
+    @classmethod
+    def _of(cls, *values) -> FitResult:
+        """``FitResult(*values)`` without the frozen ``__init__``, which checks
+        nothing and pays an ``object.__setattr__`` call per field: every
+        ``fit`` call makes a result."""
+        result = object.__new__(cls)
+        result.__dict__.update(zip(_RESULT_ATTRS, values))
+        return result
+
+
+_RESULT_ATTRS = tuple(f.name for f in fields(FitResult))
 
 
 def default_model_set(c_length: float | None = None, spline_degree: int = 3,
@@ -227,8 +251,8 @@ def fit(data: AnalysisSet, m: int, spec: ModelSpec) -> FitResult:
             data.fits[s] = outcome
         kept = outcomes[0]
     if isinstance(kept, FitResult):
-        return FitResult(kept.estimator, kept.arm, kept.theta_hat, kept.se, kept.t, kept.p_one,
-                         kept.p_two, kept.reject, dict(kept.diagnostics))
+        return FitResult._of(kept.estimator, kept.arm, kept.theta_hat, kept.se, kept.t, kept.p_one,
+                             kept.p_two, kept.reject, dict(kept.diagnostics))
     try:
         raise kept
     finally:
@@ -292,42 +316,66 @@ def _fit(prep: AnalysisSet, spec: ModelSpec) -> FitResult:
                         boundary=bool(boundary))
             if estimate.rho is not None:
                 diag["rho"] = estimate.rho
-    return _result(prep, spec, ols_fit(dm) if estimate is None else estimate, diag, y)
+    (outcome,) = _results(prep, [spec], [ols_fit(dm) if estimate is None else estimate], [diag], y)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def _fit_fixed(prep: AnalysisSet, specs: Sequence[ModelSpec]) -> list[FitResult | Exception]:
-    """Each fixed-effect spec's fit, or the error it raises, from one cell pass.
+    """Each fixed-effect spec's fit, or the error it raises, from one cell pass
+    and one Wald pass.
 
     The records are sorted for the pass and not kept: a set that plans its
     specs makes one pass, and a data-key group keeps every replicate's set.
     """
-    partitions = [(spec.kind.timescale, _interval_starts(prep, spec)) for spec in specs]
+    estimates, diags, partitions = [], [], []
+    for spec in specs:
+        try:
+            starts = _interval_starts(prep, spec)
+        except ConfigError as exc:  # a calendar partition finer than the records
+            estimates.append(exc)
+            diags.append(None)
+            continue
+        estimates.append(None)
+        diags.append({"n_intervals": len(starts)})
+        partitions.append((spec.kind.timescale, starts))
     records = sort_cells(prep.t, prep.arm, prep.y, prep.treatments)
-    outcomes = cell_ols_each(records, partitions, prep.horizon)
-    for i, (spec, (_, starts)) in enumerate(zip(specs, partitions)):
-        if not isinstance(outcomes[i], Exception):
-            try:
-                outcomes[i] = _result(prep, spec, outcomes[i], {"n_intervals": len(starts)}, prep.y)
-            except ConfigError as exc:
-                outcomes[i] = exc
-    return outcomes
+    fits = iter(cell_ols_each(records, partitions, prep.horizon))
+    estimates = [next(fits) if e is None else e for e in estimates]
+    return _results(prep, specs, estimates, diags, prep.y)
 
 
 def _interval_starts(prep: AnalysisSet, spec: ModelSpec) -> tuple[float, ...]:
+    """The starts of the spec's time partition; a calendar partition has at
+    most one interval per record."""
     if spec.kind.timescale == "period":
         return prep.period_starts
-    return derive_calendar(prep.horizon, spec.c_length, start=prep.origin)
+    return derive_calendar(prep.horizon, spec.c_length, start=prep.origin,
+                           max_intervals=prep.y.size)
 
 
-def _result(prep: AnalysisSet, spec: ModelSpec, estimate, diag: dict, y: np.ndarray) -> FitResult:
-    """The Wald test of arm m's coefficient, with the fit's sizes in ``diag``."""
+def _results(prep: AnalysisSet, specs: Sequence[ModelSpec], estimates: list, diags: list[dict],
+             y: np.ndarray) -> list[FitResult | Exception]:
+    """Each estimate's Wald test of arm m's coefficient, from one pass, with the
+    fit's sizes in its ``diag``. An error stays one, and a least-squares fit
+    that reproduces y fails as a degenerate test."""
     m, n = prep.m, y.size
-    if isinstance(estimate, OlsFit):
-        raise_if_exact(estimate, y)
-    wt = wald_test(estimate, f"trt{m}", sided=spec.sided, alpha=spec.alpha)
-    # every fit has df = n - p, also the REML fits
-    diag.update(df=estimate.df, n_obs=n, n_columns=n - estimate.df)
-    return FitResult(spec.label, m, *wt, diagnostics=diag)
+    out = list(estimates)
+    done = [i for i, e in enumerate(estimates) if not isinstance(e, Exception)]
+    fits = [estimates[i] for i in done]
+    tests = wald_test(fits, f"trt{m}", sided=[specs[i].sided for i in done],
+                      alpha=[specs[i].alpha for i in done])
+    for i, estimate, test, exact in zip(done, fits, tests, exact_fits(fits, y)):
+        if exact:
+            out[i] = ConfigError(DEGENERATE_TEST)
+        elif isinstance(test, Exception):
+            out[i] = test
+        else:
+            # every fit has df = n - p, also the REML fits
+            diags[i].update(df=estimate.df, n_obs=n, n_columns=n - estimate.df)
+            out[i] = FitResult._of(specs[i].label, m, *test, diags[i])
+    return out
 
 
 # ---------------------------------------------------------------------------

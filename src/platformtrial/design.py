@@ -98,25 +98,37 @@ def derive_periods(
     return tuple(sorted(starts))
 
 
-def derive_calendar(horizon: float, c_length: float, start: float = 1.0) -> tuple[float, ...]:
+def derive_calendar(
+    horizon: float, c_length: float, start: float = 1.0, max_intervals: int | None = None
+) -> tuple[float, ...]:
     """Start times of equidistant calendar units of size ``c_length``, cut at the horizon.
 
     The final unit is whatever is left before the horizon, so it is usually
-    shorter than ``c_length``.
+    shorter than ``c_length``. The units are counted before any start is
+    built, and more than ``max_intervals`` of them raise ``ConfigError`` (an
+    analysis set allows no more intervals than it has records).
     """
     if not (math.isfinite(c_length) and c_length >= 1):  # NaN would never pass the horizon
         raise ConfigError(f"c_length must be a finite number >= 1, got {c_length}")
     if horizon < start:
         raise ConfigError(f"horizon {horizon} lies before trial start {start}")
-    starts = []
-    i = 0
-    while True:
-        b = start + i * c_length  # multiply, not accumulate: no float drift
-        if b > horizon:
-            break
-        starts.append(b)
-        i += 1
-    return tuple(starts)
+    units = (horizon - start) / c_length
+    if not math.isfinite(units):
+        raise ConfigError(f"c_length {c_length} cannot partition the span {start} to {horizon}")
+    # unit i starts at start + i * c_length (multiply, not accumulate: no float
+    # drift); the division may round the count of starts at or before the
+    # horizon by one either way, so the rule that places them corrects it
+    count = math.floor(units) + 1
+    while count > 1 and start + (count - 1) * c_length > horizon:
+        count -= 1
+    while start + count * c_length <= horizon:
+        count += 1
+    if max_intervals is not None and count > max_intervals:
+        raise ConfigError(
+            f"c_length {float(c_length)!r} makes {count} calendar intervals; "
+            f"at most {max_intervals} allowed"
+        )
+    return tuple([start + i * c_length for i in range(count)])
 
 
 def interval_indices(times: np.ndarray, starts: Sequence[float], horizon: float) -> np.ndarray:

@@ -5,7 +5,9 @@ Least squares has two entry points with one rank rule and one exact-fit rule
 :func:`build_design` (the spline designs, the two-sample t-tests, REML's
 starting shift), and :func:`cell_ols_each` on the interval-indicator designs
 of the fixed-effect estimators, from per-(arm x interval) cell counts and
-sums. scipy provides the Student-t distribution.
+sums. The t-tests of a batch of fits are one array pass (:func:`wald_test`,
+:func:`t_test`), and a single fit is tested as a batch of one. scipy
+provides the Student-t distribution.
 """
 from __future__ import annotations
 
@@ -22,6 +24,8 @@ from .spline import SplineBasis, basis_matrix
 RANK_TOL = 1e-10  # smallest eigenvalue of X'X relative to its largest
 _EPS = float(np.finfo(float).eps)
 _NULL_WEIGHT = 1e-6  # |entry| of a null eigenvector above which its column is named
+DEGENERATE_TEST = "degenerate test: zero standard error"
+_BATCH = (list, tuple, np.ndarray)  # a batch of t-tests: one value per test
 
 
 class RankDeficiencyError(ValueError):
@@ -58,12 +62,8 @@ class WaldTest(NamedTuple):
 
 
 def t_sf(t: float, df: float) -> float:
-    """Upper-tail probability P(T_df > t)."""
-    if df <= 0:
-        raise ConfigError(f"degrees of freedom must be positive, got {df}")
-    if t != t:
-        raise ConfigError("t statistic is NaN")
-    return float(stdtr(df, -t))
+    """Upper-tail probability P(T_df > t): the one-sided p of a t-test of t at unit SE."""
+    return t_test(t, 1.0, df).p_one
 
 
 # ---------------------------------------------------------------------------
@@ -151,11 +151,19 @@ def ols_fit(dm: DesignMatrix) -> OlsFit:
                   columns=dm.columns)
 
 
+def exact_fits(fits: Sequence, y: np.ndarray) -> list[bool]:
+    """Which fits are least-squares fits that reproduce y: their residual is
+    rounding noise, of order at most (n eps)^2 y'y, not the zero it is. One
+    y'y serves every fit."""
+    bound = (y.size * _EPS) ** 2 * float(y @ y)
+    return [isinstance(fit, OlsFit) and fit.sigma2_hat * fit.df <= bound for fit in fits]
+
+
 def raise_if_exact(fit: OlsFit, y: np.ndarray) -> None:
-    """Raise the degenerate-test ``ConfigError`` when ``fit`` reproduces y: its
-    residual is rounding noise, of order at most (n eps)^2 y'y, not the zero it is."""
-    if fit.sigma2_hat * fit.df <= (y.size * _EPS) ** 2 * float(y @ y):
-        raise ConfigError("degenerate test: zero standard error")
+    """Raise the degenerate-test ``ConfigError`` when ``fit`` reproduces y
+    (see :func:`exact_fits`)."""
+    if exact_fits([fit], y)[0]:
+        raise ConfigError(DEGENERATE_TEST)
 
 
 def _check_size(n: int, p: int) -> None:
@@ -370,32 +378,79 @@ def _solve_each(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def t_test(
-    estimate: float, se: float, df: float, sided: str = "one_greater", alpha: float = 0.025
-) -> WaldTest:
+    estimate: float | Sequence[float],
+    se: float | Sequence[float],
+    df: float | Sequence[float],
+    sided: str | Sequence[str] = "one_greater",
+    alpha: float | Sequence[float] = 0.025,
+) -> WaldTest | list[WaldTest | ConfigError]:
     """t-test of an estimate against zero, with its standard error and degrees of freedom.
 
     ``one_greater`` tests the one-sided null estimate <= 0; otherwise a
-    two-sided test.
+    two-sided test. Given sequences of estimates, standard errors and
+    degrees of freedom (``sided`` and ``alpha`` one value for all or one per
+    test), it returns the list of each test's ``WaldTest``, or of the
+    ``ConfigError`` that the test alone raises; one ``stdtr`` call each
+    gives every p_one and every p_two. A single test is a batch of one.
     """
+    if not isinstance(estimate, _BATCH):
+        return _alone(t_test([estimate], [se], [df], sided, alpha))
+    sided, alpha = _each(sided, len(estimate)), _each(alpha, len(estimate))
+    t = [e / s if s != 0.0 else math.nan for e, s in zip(estimate, se)]
+    t_array = np.array(t, dtype=float)
+    p_one = stdtr(df, -t_array).tolist()
+    p_two = (2.0 * stdtr(df, -np.abs(t_array))).tolist()
+    return [_one_test(*test) for test in zip(estimate, se, df, sided, alpha, t, p_one, p_two)]
+
+
+def _one_test(estimate, se, df, sided, alpha, t, p_one, p_two) -> WaldTest | ConfigError:
+    """The test of one entry of a batch, or its first error in the order of the checks."""
     if sided not in ("one_greater", "two"):
-        raise ConfigError(f"sided must be 'one_greater' or 'two', got {sided!r}")
+        return ConfigError(f"sided must be 'one_greater' or 'two', got {sided!r}")
     if se == 0.0:
-        raise ConfigError("degenerate test: zero standard error")
-    t = estimate / se
-    p_one = t_sf(t, df)
-    p_two = 2.0 * t_sf(abs(t), df)
-    reject = (p_one if sided == "one_greater" else p_two) < alpha
-    return WaldTest(estimate=estimate, se=se, t=t, p_one=p_one, p_two=p_two, reject=reject)
+        return ConfigError(DEGENERATE_TEST)
+    if df <= 0:
+        return ConfigError(f"degrees of freedom must be positive, got {df}")
+    if t != t:
+        return ConfigError("t statistic is NaN")
+    return WaldTest(estimate, se, t, p_one, p_two, (p_one if sided == "one_greater" else p_two) < alpha)
 
 
 def wald_test(
-    fit, coeff: str, sided: str = "one_greater", alpha: float = 0.025
-) -> WaldTest:
+    fit, coeff: str, sided: str | Sequence[str] = "one_greater",
+    alpha: float | Sequence[float] = 0.025,
+) -> WaldTest | list[WaldTest | ConfigError]:
     """t-test of a single coefficient against zero.
 
-    Works for any fit exposing beta/cov/df/columns.
+    Works for any fit exposing beta/cov/df/columns. Given a list of fits, it
+    tests them as :func:`t_test` tests a batch, and a fit without the
+    coefficient gets its ``ConfigError``. A single fit is a batch of one.
     """
-    if coeff not in fit.columns:
-        raise ConfigError(f"coefficient {coeff!r} not in fit columns")
-    i = fit.columns.index(coeff)
-    return t_test(float(fit.beta[i]), math.sqrt(float(fit.cov[i, i])), fit.df, sided, alpha)
+    if not isinstance(fit, list):  # a fit may be a NamedTuple
+        return _alone(wald_test([fit], coeff, sided, alpha))
+    sided, alpha = _each(sided, len(fit)), _each(alpha, len(fit))
+    tested, estimates, ses = [], [], []
+    for i, f in enumerate(fit):
+        if coeff in f.columns:
+            j = f.columns.index(coeff)
+            var = float(f.cov[j, j])
+            tested.append(i)
+            estimates.append(float(f.beta[j]))
+            ses.append(math.sqrt(var) if var >= 0.0 else math.nan)  # a negative variance: a NaN t
+    tests = dict(zip(tested, t_test(estimates, ses, [fit[i].df for i in tested],
+                                    [sided[i] for i in tested], [alpha[i] for i in tested])))
+    return [tests[i] if i in tests else ConfigError(f"coefficient {coeff!r} not in fit columns")
+            for i in range(len(fit))]
+
+
+def _each(value, n: int) -> list:
+    """One value per test: ``value`` repeated n times, or the sequence given."""
+    return list(value) if isinstance(value, _BATCH) else [value] * n
+
+
+def _alone(outcomes: list):
+    """The one test of a batch of one, or its error raised."""
+    (outcome,) = outcomes
+    if isinstance(outcome, ConfigError):
+        raise outcome
+    return outcome

@@ -109,10 +109,12 @@ def replicate_seed(scenario: Scenario, index: int) -> np.random.SeedSequence:
 
 class _Group(NamedTuple):
     """What the cells of a data-key group share at one worker: the specs of
-    all its cells, and the analysis sets its cells have made, by replicate."""
+    all its cells, the analysis sets its cells have made, by replicate, and
+    the summary of each spec a cell has summarized, by spec."""
 
     specs: tuple[ModelSpec, ...]
     sets: dict[int, AnalysisSet]
+    stats: dict[ModelSpec, EstimatorStats]
 
 
 def run_replicate(
@@ -125,7 +127,7 @@ def run_replicate(
     and added. Without a group, the set is made for this cell's specs.
     """
     M = scenario.config.M
-    specs, sets = _Group(scenario.estimators, {}) if _shared is None else _shared
+    specs, sets, _ = _Group(scenario.estimators, {}, {}) if _shared is None else _shared
     analysis_set = sets.get(index)
     if analysis_set is None:
         dataset = generate_trial(
@@ -160,7 +162,9 @@ def run_scenario(
     one thread; ``threads`` worker processes (at most one per replicate) run
     them in parallel, in balanced contiguous chunks; the workers fork from
     this process and inherit the modules it has imported. Replicates run in this
-    process read and fill ``_shared`` (see ``run_replicate``).
+    process read and fill ``_shared`` (see ``run_replicate``), and so does the
+    summary of each spec: a spec another cell of the group has summarized is
+    read, not summarized again.
     """
     n = scenario.replicates
     indices = range(n)
@@ -176,36 +180,48 @@ def run_scenario(
         else:
             per_rep = [run_replicate(scenario, i, _shared) for i in indices]
 
-    labels = [spec.label for spec in scenario.estimators]
+    # a cell of a group reads the summary of a spec another cell has made: the
+    # group's cells run the same replicates on the same sets, and a data key
+    # fixes the true effect
+    stats = {} if _shared is None else _shared.stats
     per_estimator: dict[str, EstimatorStats] = {}
-    for pos, label in enumerate(labels):
-        rejects, estimates, failures = [], [], 0
-        for rep in per_rep:
-            _, failed, reject, theta = rep[pos]
-            if failed:
-                failures += 1
-            else:
-                rejects.append(reject)
-                estimates.append(theta)
-        n_ok = len(rejects)
-        if n_ok:
-            rate = sum(rejects) / n_ok
-            mc_se = math.sqrt(rate * (1.0 - rate) / n_ok)
-            mean_est = float(np.mean(estimates))
-            emp_se = float(np.std(estimates, ddof=1)) if n_ok > 1 else float("nan")
-        else:
-            rate = mc_se = mean_est = emp_se = float("nan")
-        per_estimator[label] = EstimatorStats(
-            estimator=label,
-            reps=n_ok,
-            reject_rate=rate,
-            mc_se=mc_se,
-            mean_est=mean_est,
-            emp_se=emp_se,
-            bias=mean_est - scenario.true_effect if n_ok else float("nan"),
-            failures=failures,
-        )
+    for pos, spec in enumerate(scenario.estimators):
+        st = stats.get(spec)
+        if st is None:
+            st = stats[spec] = _summary(spec.label, [rep[pos] for rep in per_rep],
+                                        scenario.true_effect)
+        per_estimator[spec.label] = st
     return OperatingCharacteristics(scenario=scenario, per_estimator=per_estimator)
+
+
+def _summary(label: str, outcomes: list[tuple[str, bool, bool, float]],
+             true_effect: float) -> EstimatorStats:
+    """Rejection rate, estimate moments and failures of one estimator's replicates."""
+    rejects, estimates, failures = [], [], 0
+    for _, failed, reject, theta in outcomes:
+        if failed:
+            failures += 1
+        else:
+            rejects.append(reject)
+            estimates.append(theta)
+    n_ok = len(rejects)
+    if n_ok:
+        rate = sum(rejects) / n_ok
+        mc_se = math.sqrt(rate * (1.0 - rate) / n_ok)
+        mean_est = float(np.mean(estimates))
+        emp_se = float(np.std(estimates, ddof=1)) if n_ok > 1 else float("nan")
+    else:
+        rate = mc_se = mean_est = emp_se = float("nan")
+    return EstimatorStats(
+        estimator=label,
+        reps=n_ok,
+        reject_rate=rate,
+        mc_se=mc_se,
+        mean_est=mean_est,
+        emp_se=emp_se,
+        bias=mean_est - true_effect if n_ok else float("nan"),
+        failures=failures,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -246,41 +262,48 @@ class GridSpec:
         return lambda_multipliers(self.profile, self.K)
 
     def cells(self) -> list[Scenario]:
-        return [scenario for _, _, scenario in self._cells_with_axes()]
+        return [scenario for *_, scenario in self._cells_with_axes()]
 
-    def _cells_with_axes(self) -> list[tuple[float, float | None, Scenario]]:
-        """(lambda, c_length, scenario) per cell, in axis-product order.
+    def _cells_with_axes(self) -> list[tuple[float, float | None, int, Scenario]]:
+        """(lambda, c_length, data key, scenario) per cell, in axis-product order.
 
-        The c_length axis applies only when some estimator needs it.
+        The c_length axis applies only when some estimator needs it. Each part
+        of a cell is made once and shared by the cells that hold it: a spec
+        without a c_length is one object in every cell, and the cells of one
+        (hypothesis, pattern, lambda, d) share its config, trend and data key.
         """
         mult = self.multipliers()
         needs_c_length = any(spec.kind.needs_c_length for spec in self.estimators)
         c_lengths = self.c_lengths if needs_c_length else (None,)
+        tests = {"alpha": self.alpha, "sided": self.sided}
+        free = [None if spec.kind.needs_c_length else replace(spec, **tests)
+                for spec in self.estimators]
+        estimators = [
+            tuple(replace(spec, c_length=c_length, **tests) if same is None else same
+                  for spec, same in zip(self.estimators, free))
+            for c_length in c_lengths
+        ]
+        configs = [
+            TrialConfig(K=self.K, d=d, n=self.n, eta0=self.eta0,
+                        theta=(self.effect,) * self.K, sigma=self.sigma, M=self.M)
+            for d in self.d_values
+        ]
+        trends = [
+            [TrendSpec(pattern=pattern, lam=tuple(lam * m for m in mult),
+                       n_p=self.n_p if pattern == "inverted_u" else None,
+                       psi=self.psi if pattern == "seasonal" else None)
+             for lam in self.lambdas]
+            for pattern in self.patterns
+        ]
         out = []
-        for hypothesis, pattern, lam, d, c_length in itertools.product(
-            self.hypotheses, self.patterns, self.lambdas, self.d_values, c_lengths
-        ):
-            config = TrialConfig(
-                K=self.K, d=d, n=self.n, eta0=self.eta0,
-                theta=(self.effect,) * self.K, sigma=self.sigma, M=self.M,
-            )
-            trend = TrendSpec(
-                pattern=pattern,
-                lam=tuple(lam * m for m in mult),
-                n_p=self.n_p if pattern == "inverted_u" else None,
-                psi=self.psi if pattern == "seasonal" else None,
-            )
-            estimators = tuple(
-                replace(spec, c_length=c_length, alpha=self.alpha, sided=self.sided)
-                if spec.kind.needs_c_length
-                else replace(spec, alpha=self.alpha, sided=self.sided)
-                for spec in self.estimators
-            )
-            out.append((float(lam), c_length, Scenario(
-                config=config, trend=trend, estimators=estimators,
-                hypothesis=hypothesis, replicates=self.replicates,
-                seed=self.seed,
-            )))
+        for hypothesis, pattern_trends in itertools.product(self.hypotheses, trends):
+            for (lam, trend), config in itertools.product(zip(self.lambdas, pattern_trends), configs):
+                cells = [Scenario(config=config, trend=trend, estimators=specs, hypothesis=hypothesis,
+                                  replicates=self.replicates, seed=self.seed)
+                         for specs in estimators]
+                key = scenario_data_key(cells[0])
+                out += [(float(lam), c_length, key, scenario)
+                        for c_length, scenario in zip(c_lengths, cells)]
         return out
 
 
@@ -294,18 +317,20 @@ def run_grid(grid: GridSpec, threads: int = 1) -> list[dict]:
     Consecutive cells with the same data key (the c_length axis) simulate the
     same datasets. At one worker they share each replicate's analysis set:
     the group's first cell makes it with every cell's specs planned, the
-    others read it, and the sets are dropped when the group ends.
+    others read it. They share each spec's summary as well, so a spec in
+    every cell (one without a c_length) is summarized once. The sets and
+    summaries are dropped when the group ends.
     """
     rows = []
     with blas.single_thread():
-        groups = itertools.groupby(grid._cells_with_axes(), key=lambda c: scenario_data_key(c[2]))
+        groups = itertools.groupby(grid._cells_with_axes(), key=lambda cell: cell[2])
         for _, group in groups:
             group = list(group)
             shared = None
             if threads <= 1 and len(group) > 1:
                 specs = dict.fromkeys(spec for *_, scenario in group for spec in scenario.estimators)
-                shared = _Group(tuple(specs), {})
-            for lam, c_length, scenario in group:
+                shared = _Group(tuple(specs), {}, {})
+            for lam, c_length, _, scenario in group:
                 oc = run_scenario(scenario, threads, shared)
                 for spec in scenario.estimators:
                     st = oc.per_estimator[spec.label]

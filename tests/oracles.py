@@ -9,7 +9,8 @@ a dense whitened QR fit instead of the group counts and sums, a
 patient-by-patient randomization loop instead of drawing the blocks
 between two events at once, scipy's sparse B-spline design matrix instead
 of its dense evaluation, a list of stacked columns instead of one design
-array written block by block.
+array written block by block, one scalar t-test at a time instead of an
+array pass, a walk to the horizon instead of counting the calendar units.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import qr, solve_triangular
+from scipy.special import stdtr
 
 from platformtrial.design import ConfigError, entry_times, interval_indices
 
@@ -87,6 +89,38 @@ def t_sf_quad(t: float, df: float) -> float:
     """Upper tail of the Student-t by adaptive quadrature from 0 to |t|."""
     body, _ = quad(t_pdf, 0.0, abs(t), args=(df,), epsabs=1e-13, epsrel=1e-13)
     return 0.5 - body if t >= 0 else 0.5 + body
+
+
+def scalar_t_test(estimate: float, se: float, df: float, sided: str, alpha: float):
+    """(estimate, se, t, p_one, p_two, reject) of one t-test in Python scalars,
+    each p from one scalar ``stdtr`` call; raises the ``ConfigError`` of the
+    first check it fails."""
+    if sided not in ("one_greater", "two"):
+        raise ConfigError(f"sided must be 'one_greater' or 'two', got {sided!r}")
+    if se == 0.0:
+        raise ConfigError("degenerate test: zero standard error")
+    t = estimate / se
+
+    def upper_tail(x):
+        if df <= 0:
+            raise ConfigError(f"degrees of freedom must be positive, got {df}")
+        if x != x:
+            raise ConfigError("t statistic is NaN")
+        return float(stdtr(df, -x))
+
+    p_one = upper_tail(t)
+    p_two = 2.0 * upper_tail(abs(t))
+    reject = (p_one if sided == "one_greater" else p_two) < alpha
+    return estimate, se, t, p_one, p_two, reject
+
+
+def calendar_walk(horizon: float, c_length: float, start: float) -> tuple[float, ...]:
+    """Calendar unit starts start + i * c_length, i = 0, 1, ..., while at or before the horizon."""
+    starts, i = [], 0
+    while start + i * c_length <= horizon:
+        starts.append(start + i * c_length)
+        i += 1
+    return tuple(starts)
 
 
 def normal_equations_ols(X: np.ndarray, y: np.ndarray):

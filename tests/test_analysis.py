@@ -2,7 +2,9 @@ import csv
 import gc
 import json
 import math
+import pickle
 import re
+import time
 import weakref
 from dataclasses import replace
 
@@ -15,6 +17,7 @@ from platformtrial import analysis, mixed_model
 from platformtrial.analysis import (
     ESTIMATORS,
     AnalysisSet,
+    FitResult,
     ModelSpec,
     default_model_set,
     fit,
@@ -92,6 +95,16 @@ class TestModelSpec:
     def test_labels(self):
         assert ModelSpec("fixed_period").label == "fixed_period"
         assert ModelSpec("spline_period", spline_degree=2).label == "spline_period_q2"
+
+    def test_hash_is_the_fields_hash_and_made_anew_from_a_pickle(self):
+        spec = ModelSpec("spline_calendar", c_length=50, spline_degree=2, alpha=0.05, sided="two")
+        assert hash(spec) == hash(("spline_calendar", 50, 2, 0.05, "two"))
+        assert hash(replace(spec, c_length=75)) == hash(("spline_calendar", 75, 2, 0.05, "two"))
+        # a hash kept on the spec does not travel: str hashes differ between processes
+        object.__setattr__(spec, "_hash", 12345)
+        copy = pickle.loads(pickle.dumps(spec))
+        assert copy == spec and copy.label == "spline_calendar_q2"
+        assert hash(copy) == hash(("spline_calendar", 50, 2, 0.05, "two")) != 12345
 
     def test_default_battery_matches_case_study_rows(self):
         labels = [s.label for s in default_model_set(90.0)]
@@ -639,9 +652,13 @@ class TestFixedEffectBatch:
             st.one_of(st.floats(1.0, 1.5 * span + 1.0), st.integers(1, int(1.5 * span) + 2),
                       st.just(span + 1.0)),
             min_size=1, max_size=6), label="c_lengths")
-        specs = [ModelSpec("fixed_calendar", c_length=c) for c in c_lengths]
+        # each spec tests at its own level and sidedness in the one Wald pass
+        tests = st.fixed_dictionaries({"alpha": st.sampled_from([0.025, 0.05, 0.2, 0.6]),
+                                       "sided": st.sampled_from(["one_greater", "two"])})
+        specs = [ModelSpec("fixed_calendar", c_length=c, **data.draw(tests, label="tests"))
+                 for c in c_lengths]
         specs.insert(data.draw(st.integers(0, len(specs)), label="period_at"),
-                     ModelSpec("fixed_period", sided=data.draw(st.sampled_from(["one_greater", "two"]))))
+                     ModelSpec("fixed_period", **data.draw(tests, label="period tests")))
         self.assert_batch_as_alone(ds, m, specs)
 
     def test_exact_fit_degenerate_in_the_batch_as_alone(self):
@@ -652,6 +669,24 @@ class TestFixedEffectBatch:
         self.assert_batch_as_alone(ds, 1, [*specs, ModelSpec("fixed_period")])
         with pytest.raises(ConfigError, match="degenerate"):
             fit(manual_set(arm, np.where(arm == 1, 3.7, 7.4)), 1, specs[0])
+
+    def test_partition_finer_than_the_records_refused_before_it_is_built(self):
+        # 6 records over a span of a billion time units: c_length 1 would cut a
+        # billion intervals; the set refuses it, and its other specs still fit
+        arm = np.array([0, 1, 0, 1, 0, 1])
+        t = np.array([-1e9, -1e9, 1.0, 2.0, 3.0, 4.0])
+        ds = manual_dataset(arm, np.array([0.3, 1.1, -0.2, 0.9, 0.1, 1.4]), t)
+        calendar = [ModelSpec(name, c_length=1) for name in
+                    ("fixed_calendar", "spline_calendar", "mixed_calendar", "mixedint_calendar")]
+        t0 = time.perf_counter()
+        for spec in calendar:
+            with pytest.raises(ConfigError, match=r"c_length 1\.0 makes 1000000005 calendar "
+                                                  r"intervals; at most 6 allowed"):
+                fit(slice_for_arm(ds, 1), 1, spec)
+        specs = [ModelSpec("fixed_period"), calendar[0], ModelSpec("fixed_calendar", c_length=2e9)]
+        self.assert_batch_as_alone(ds, 1, specs)
+        assert time.perf_counter() - t0 < 1.0
+        assert isinstance(fit_outcome(slice_for_arm(ds, 1), 1, specs[2]), FitResult)
 
     def test_equal_specs_fitted_once(self, monkeypatch):
         partitions = []

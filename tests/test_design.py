@@ -1,3 +1,4 @@
+import time
 from bisect import bisect_right
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import calendar_walk
 from platformtrial.design import (
     ConfigError,
     TrialConfig,
@@ -108,6 +110,17 @@ class TestDeriveCalendar:
         with pytest.raises(ConfigError, match="finite"):
             derive_calendar(horizon=100, c_length=float("inf"))
 
+    def test_intervals_counted_before_any_is_built(self):
+        # a billion one-unit intervals would not fit in memory
+        t0 = time.perf_counter()
+        with pytest.raises(ConfigError, match=r"c_length 1\.0 makes 2000000001 calendar intervals; "
+                                              r"at most 6 allowed"):
+            derive_calendar(horizon=1e9, c_length=1, start=-1e9, max_intervals=6)
+        assert time.perf_counter() - t0 < 1.0
+        assert derive_calendar(horizon=13, c_length=2, max_intervals=7) == (1, 3, 5, 7, 9, 11, 13)
+        with pytest.raises(ConfigError, match="makes 7 calendar intervals; at most 6"):
+            derive_calendar(horizon=13, c_length=2, max_intervals=6)
+
 
 class TestIntervalIndex:
     STARTS = (1, 251, 501)
@@ -176,3 +189,33 @@ def test_period_boundary_union_property(entries, exits, horizon):
     # widths partition [1, horizon]
     bounds = list(starts) + [horizon + 1]
     assert sum(b - a for a, b in zip(bounds, bounds[1:])) == horizon
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    start=st.floats(-1e6, 1e6) | st.integers(-1000, 1000),
+    span=st.floats(0.0, 1e5) | st.integers(0, 10_000),
+    c_length=st.floats(1.0, 2e4) | st.integers(1, 2000),
+)
+def test_calendar_counts_the_units_the_walk_places(start, span, c_length):
+    # the count comes from one division; the starts are those of the walk, bit for bit
+    assert_walk(start + span, c_length, start)
+
+
+def assert_walk(horizon, c_length, start):
+    starts = derive_calendar(horizon, c_length, start=start)
+    assert [x.hex() for x in map(float, starts)] == [
+        x.hex() for x in map(float, calendar_walk(horizon, c_length, start))]
+    assert type(starts[0]) is type(start + 0 * c_length)
+
+
+@pytest.mark.parametrize("horizon, c_length, start, by_division", [
+    # the division rounds the count up by one: the last start lies past the horizon
+    (447.926857352407, 6.778016479881992, -873.7863562245814, 196),
+    # and down by one: the next start still lies at the horizon
+    (1677.097135401907, 32.928055663415385, -101.01787042252374, 54),
+])
+def test_calendar_count_corrected_where_the_division_rounds(horizon, c_length, start, by_division):
+    assert int((horizon - start) / c_length) + 1 == by_division
+    assert len(calendar_walk(horizon, c_length, start)) != by_division
+    assert_walk(horizon, c_length, start)

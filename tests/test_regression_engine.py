@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from platformtrial import regression_engine
@@ -20,7 +20,7 @@ from platformtrial.regression_engine import (
 )
 from platformtrial.spline import knots_at
 
-from oracles import column_stack_design, normal_equations_ols, qr_ols, t_sf_quad
+from oracles import column_stack_design, normal_equations_ols, qr_ols, scalar_t_test, t_sf_quad
 
 
 class TestStudentT:
@@ -403,6 +403,61 @@ class TestWaldTest:
         broken = OlsLike(fit.beta, np.zeros_like(fit.cov), fit.df, fit.columns)
         with pytest.raises(ConfigError, match="degenerate"):
             wald_test(broken, "slope")
+
+    def test_batch_of_fits_tests_each_as_alone(self):
+        fit = self._fit(beta1=0.3)
+        no_slope = OlsLike(fit.beta[:1], fit.cov[:1, :1], fit.df, fit.columns[:1])
+        zero_se = OlsLike(fit.beta, np.zeros_like(fit.cov), fit.df, fit.columns)
+        fits = [fit, no_slope, self._fit(beta1=-2.0, n=30, seed=6), zero_se, fit]
+        sided, alpha = ["two", "one_greater", "one_greater", "two", "one_greater"], [
+            0.01, 0.025, 0.3, 0.05, 0.025]
+        batch = wald_test(fits, "slope", sided=sided, alpha=alpha)
+        for f, s, a, got in zip(fits, sided, alpha, batch):
+            try:
+                expected = wald_test(f, "slope", sided=s, alpha=a)
+            except ConfigError as exc:
+                assert type(got) is ConfigError and str(got) == str(exc)
+            else:
+                assert got == expected
+        assert [type(x) for x in batch[1:4]] == [ConfigError, type(batch[0]), ConfigError]
+        # one sided value and one alpha serve the whole batch
+        assert wald_test(fits, "slope")[2] == wald_test(fits[2], "slope")
+
+    _general = st.tuples(
+        st.one_of(st.floats(-50.0, 50.0), st.floats(allow_nan=True, allow_infinity=True)),
+        st.one_of(st.just(0.0), st.just(-0.0), st.floats(1e-3, 100.0), st.just(math.nan),
+                  st.floats(allow_nan=False, allow_infinity=True)),
+        st.one_of(st.just(1), st.integers(1, 5000), st.floats(0.5, 1e4), st.integers(-2, 0)),
+        st.sampled_from(["one_greater", "two", "one_greater", "two", "one_less"]),
+        st.floats(1e-4, 0.5),
+    )
+    # |t| > 40, far in the tails
+    _large_t = st.tuples(st.floats(40.5, 1e6) | st.floats(-1e6, -40.5), st.just(1.0),
+                         st.integers(1, 3000), st.sampled_from(["one_greater", "two"]),
+                         st.floats(1e-4, 0.5))
+
+    @settings(max_examples=150, deadline=None)
+    @given(tests=st.lists(_general | _large_t, min_size=1, max_size=8))
+    @example(tests=[(1.0, 0.0, 10, "two", 0.05), (math.nan, 1.0, 5, "one_greater", 0.025),
+                    (2.5, 1.0, 1, "two", 0.025), (45.0, 1.0, 30, "one_greater", 0.025),
+                    (-60.0, 1.0, 1, "two", 0.01), (0.4, 0.2, 0, "two", 0.05)])
+    def test_array_t_test_is_the_scalar_test_bit_for_bit(self, tests):
+        def bits(test):
+            return [v.hex() if isinstance(v, float) else v for v in test]
+
+        batch = t_test(*map(list, zip(*tests)))
+        assert len(batch) == len(tests)
+        for args, got in zip(tests, batch):
+            try:
+                expected = scalar_t_test(*args)
+            except ConfigError as exc:
+                assert type(got) is ConfigError and str(got) == str(exc)
+                with pytest.raises(ConfigError) as alone:
+                    t_test(*args)
+                assert str(alone.value) == str(exc)
+            else:
+                assert bits(got) == bits(expected)
+                assert bits(t_test(*args)) == bits(expected)
 
 
 class OlsLike:

@@ -313,13 +313,44 @@ class TestSharedAnalysisSets:
         rows_to_csv(alone, tmp_path / "alone.csv")
         assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
 
+    def test_shared_spec_failing_on_some_replicates_summarized_once_as_alone(self, monkeypatch,
+                                                                             tmp_path):
+        # fixed_period fails on the sets whose first sorted response is positive;
+        # each c_length-free spec is summarized by the group's first cell, and
+        # its other cells read that summary
+        real_cells, real_summary, summarized = analysis.cell_ols_each, simharness._summary, []
+
+        def failing_on_some(records, partitions, horizon):
+            outcomes = real_cells(records, partitions, horizon)
+            return [RankDeficiencyError(["per2"]) if adjustment == "period" and records.y[0] > 0
+                    else outcome for (adjustment, _), outcome in zip(partitions, outcomes)]
+
+        def counting_summary(label, outcomes, true_effect):
+            summarized.append(label)
+            return real_summary(label, outcomes, true_effect)
+
+        monkeypatch.setattr(analysis, "cell_ols_each", failing_on_some)
+        monkeypatch.setattr(simharness, "_summary", counting_summary)
+        grid = self.grid(hypotheses=("null",), replicates=6, estimators=(
+            ModelSpec("fixed_period"), ModelSpec("fixed_calendar", c_length=1), ModelSpec("separate")))
+        rows = run_grid(grid, threads=1)
+        failures = [r["failures"] for r in rows if r["estimator"] == "fixed_period"]
+        assert failures == [failures[0]] * 3 and 0 < failures[0] < grid.replicates
+        assert sorted(summarized) == ["fixed_calendar"] * 3 + ["fixed_period", "separate"]
+        rows_to_csv(rows, tmp_path / "grid.csv")
+        alone = []
+        for c_length in grid.c_lengths:
+            alone += run_grid(dataclasses.replace(grid, c_lengths=(c_length,)), threads=1)
+        rows_to_csv(alone, tmp_path / "alone.csv")
+        assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+
     def test_kept_failure_keeps_no_group_alive(self, monkeypatch):
         # without the cyclic collector, a group's sets die with the group
         self.fail_fixed_period(monkeypatch)
         (scenario, *_) = self.grid(replicates=1).cells()
         gc.disable()
         try:
-            group = simharness._Group(scenario.estimators + (ModelSpec("fixed_period"),), {})
+            group = simharness._Group(scenario.estimators + (ModelSpec("fixed_period"),), {}, {})
             for _ in range(2):  # the second cell reads the kept failure
                 run_replicate(dataclasses.replace(
                     scenario, estimators=(ModelSpec("fixed_period"),)), 0, group)
