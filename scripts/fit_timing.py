@@ -17,9 +17,12 @@ on every set reads ``nan``. Standard error gets one more line for the
 group: the median microseconds to fit all of its distinct specs in turn on
 a fresh set whose ``planned`` lists them (a tree whose sets have no
 ``planned`` fits them one by one), which is what a one-worker group pays
-per replicate; it reads ``nan`` if a spec raises on every set. Each tree
-runs in its own interpreter with its
-``src`` on the path and every BLAS library at one thread, twice, in the
+per replicate; it reads ``nan`` if a spec raises on every set. A second
+line there gives the median microseconds of a ``fit`` call that the set answers
+from its kept fits, which is what the later cells of a data-key group pay
+per spec: each spec with a result is fitted once, then called again
+``KEPT_CALLS`` times per timing. Each tree runs in its own interpreter with
+its ``src`` on the path and every BLAS library at one thread, twice, in the
 order parent, change, change, parent, and each spec reports the lower of a
 tree's two medians, so that a drift in the host's load favours neither
 tree. Both trees must generate the same data, which the script checks.
@@ -42,11 +45,12 @@ ONE_THREAD = {name: "1" for name in (
     "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")}
 DATASETS = 5  # analysis sets fitted
 REPEATS = 5  # timed fits per set and spec
+KEPT_CALLS = 100  # kept-fit reads per timing
 
 
 def time_fits(config: str, out: str) -> None:
     """Write {"data": fingerprint, "us": [[label, c_length, median us], ...],
-    "group_us": median us for the whole group}."""
+    "group_us": median us for the whole group, "kept_us": median us per kept read}."""
     import inspect
     import itertools
 
@@ -90,12 +94,30 @@ def time_fits(config: str, out: str) -> None:
                 times.append(time.perf_counter() - start)
         return 1e6 * statistics.median(times) if times else float("nan")
 
+    def kept_us():
+        """Median us of a ``fit`` call answered from the set's kept result."""
+        times = []
+        for dataset in datasets:
+            fitted = fresh_set(dataset, specs)
+            for spec in specs:
+                try:
+                    fit(fitted, M, spec)
+                except Exception:  # a kept failure is no kept result
+                    continue
+                for _ in range(REPEATS):
+                    start = time.perf_counter()
+                    for _ in range(KEPT_CALLS):
+                        fit(fitted, M, spec)
+                    times.append((time.perf_counter() - start) / KEPT_CALLS)
+        return 1e6 * statistics.median(times) if times else float("nan")
+
     rows = [[spec.label, spec.c_length if spec.kind.needs_c_length else None, median_us([spec])]
             for spec in specs]
     group_us = median_us(specs, plan=specs)
     fingerprint = repr(sum(float(dataset.y.sum()) for dataset in datasets))
     with open(out, "w") as fh:
-        json.dump({"data": fingerprint, "us": rows, "group_us": group_us}, fh)
+        json.dump({"data": fingerprint, "us": rows, "group_us": group_us, "kept_us": kept_us()},
+                  fh)
 
 
 def run_stage(tree: Path, *args: str) -> dict:
@@ -134,11 +156,12 @@ def main(argv=None) -> int:
         c = "-" if c_length is None else f"{c_length:g}"
         print(f"{label:<22} {c:>8} {us_parent:>10.1f} {us_change:>10.1f} "
               f"{us_change / us_parent:>6.3f}")
-    group_parent, group_change = (min(out["group_us"] for s, out in stages if s == side)
-                                  for side in ("parent", "change"))
-    label = f"group ({len(stages[0][1]['us'])} specs)"
-    print(f"{label:<22} {'-':>8} {group_parent:>10.1f} {group_change:>10.1f} "
-          f"{group_change / group_parent:>6.3f}", file=sys.stderr)
+    for label, key in ((f"group ({len(stages[0][1]['us'])} specs)", "group_us"),
+                       ("kept read", "kept_us")):
+        us_parent, us_change = (min(out[key] for s, out in stages if s == side)
+                                for side in ("parent", "change"))
+        print(f"{label:<22} {'-':>8} {us_parent:>10.2f} {us_change:>10.2f} "
+              f"{us_change / us_parent:>6.3f}", file=sys.stderr)
     return 0
 
 

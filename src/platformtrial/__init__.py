@@ -31,7 +31,6 @@ from .regression_engine import (
     RankDeficiencyError,
     build_design,
     ols_fit,
-    t_sf,
     t_test,
     wald_test,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "run_grid",
     "run_scenario",
     "slice_for_arm",
-    "t_sf",
     "t_test",
     "trend_value",
     "wald_test",

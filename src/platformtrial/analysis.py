@@ -1,10 +1,11 @@
 """Estimator front end: maps (dataset, evaluated arm, model spec) to a fit result."""
 from __future__ import annotations
 
+import copyreg
 import csv
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -59,7 +60,7 @@ RESULT_FIELDS = ("estimator", "arm", "theta_hat", "se", "p_one", "p_two", "rejec
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Choice of estimator plus its options."""
+    """Choice of estimator plus its options; it keys a set's kept fits by its fields."""
 
     estimator: str
     c_length: float | None = None
@@ -80,18 +81,6 @@ class ModelSpec:
             raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.sided not in ("one_greater", "two"):
             raise ConfigError(f"sided must be 'one_greater' or 'two', got {self.sided!r}")
-        # a spec keys every kept fit, so its hash is taken once; a pickled spec
-        # is made anew (see __reduce__), as str hashes differ between processes
-        object.__setattr__(self, "_hash", hash(self._values()))
-
-    def _values(self) -> tuple:
-        return self.estimator, self.c_length, self.spline_degree, self.alpha, self.sided
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return ModelSpec, self._values()
 
     @property
     def kind(self) -> Estimator:
@@ -104,8 +93,25 @@ class ModelSpec:
         return self.estimator
 
 
+class Diagnostics(dict):
+    """A fit's diagnostics: a dict that refuses every change, so that the one
+    kept result of a fit can be handed to every caller."""
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a fit's diagnostics are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
+
+
+# pickle and copy rebuild it from a plain dict: the dict protocol would set each item
+copyreg.pickle(Diagnostics, lambda diagnostics: (Diagnostics, (dict(diagnostics),)))
+
+
 @dataclass(frozen=True)
 class FitResult:
+    """A fit's test of arm m's coefficient. Immutable, its diagnostics made
+    a :class:`Diagnostics`, so one kept result serves every call."""
+
     estimator: str
     arm: int
     theta_hat: float
@@ -114,19 +120,10 @@ class FitResult:
     p_one: float
     p_two: float
     reject: bool
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: Diagnostics = field(default_factory=Diagnostics)
 
-    @classmethod
-    def _of(cls, *values) -> FitResult:
-        """``FitResult(*values)`` without the frozen ``__init__``, which checks
-        nothing and pays an ``object.__setattr__`` call per field: every
-        ``fit`` call makes a result."""
-        result = object.__new__(cls)
-        result.__dict__.update(zip(_RESULT_ATTRS, values))
-        return result
-
-
-_RESULT_ATTRS = tuple(f.name for f in fields(FitResult))
+    def __post_init__(self):
+        object.__setattr__(self, "diagnostics", Diagnostics(self.diagnostics))
 
 
 def default_model_set(c_length: float | None = None, spline_degree: int = 3,
@@ -201,18 +198,9 @@ def slice_for_arm(dataset: TrialDataset, m: int, planned: Sequence[ModelSpec] = 
         values.flags.writeable = False  # copies of the cut, not the caller's arrays
     tl = dataset.timeline
     m_entry = tl.entry[m - 1] if tl is not None and m <= len(tl.entry) else t_arm.min()
-    return AnalysisSet(
-        m=m,
-        t=t,
-        arm=arm,
-        y=y,
-        horizon=horizon,
-        origin=float(t.min()),
-        treatments=tuple(sorted(int(k) for k in np.unique(arm) if k != 0)),
-        m_entry=float(m_entry),
-        timeline=tl,
-        planned=tuple(planned),
-    )
+    return AnalysisSet(m=m, t=t, arm=arm, y=y, horizon=horizon, origin=float(t.min()),
+                       treatments=tuple(sorted(int(k) for k in np.unique(arm) if k != 0)),
+                       m_entry=float(m_entry), timeline=tl, planned=tuple(planned))
 
 
 def fit(data: AnalysisSet, m: int, spec: ModelSpec) -> FitResult:
@@ -221,11 +209,10 @@ def fit(data: AnalysisSet, m: int, spec: ModelSpec) -> FitResult:
     ``data`` is the set :func:`slice_for_arm` made for arm m. A fit's
     outcome is a function of (set, spec): its result, or one of the
     ``FIT_FAILURES``. The set keeps it in ``data.fits``, and an equal spec
-    returns the result, each call with its own ``diagnostics`` dict, or
-    raises the failure, without fitting again. Any other exception is not
-    kept. A fixed-effect spec is fitted in one pass with the set's
-    ``planned`` fixed-effect specs that it has not kept; a batch leaves each
-    fit as it would be alone.
+    returns that one immutable result, or raises the failure, without
+    fitting again. Any other exception is not kept. A fixed-effect spec is
+    fitted in one pass with the set's ``planned`` fixed-effect specs that it
+    has not kept; a batch leaves each fit as it would be alone.
     """
     if not isinstance(data, AnalysisSet):
         raise ConfigError(
@@ -251,8 +238,7 @@ def fit(data: AnalysisSet, m: int, spec: ModelSpec) -> FitResult:
             data.fits[s] = outcome
         kept = outcomes[0]
     if isinstance(kept, FitResult):
-        return FitResult._of(kept.estimator, kept.arm, kept.theta_hat, kept.se, kept.t, kept.p_one,
-                             kept.p_two, kept.reject, dict(kept.diagnostics))
+        return kept
     try:
         raise kept
     finally:
@@ -374,7 +360,7 @@ def _results(prep: AnalysisSet, specs: Sequence[ModelSpec], estimates: list, dia
         else:
             # every fit has df = n - p, also the REML fits
             diags[i].update(df=estimate.df, n_obs=n, n_columns=n - estimate.df)
-            out[i] = FitResult._of(specs[i].label, m, *test, diags[i])
+            out[i] = FitResult(specs[i].label, m, *test, diags[i])
     return out
 
 
@@ -383,17 +369,8 @@ def _results(prep: AnalysisSet, specs: Sequence[ModelSpec], estimates: list, dia
 # ---------------------------------------------------------------------------
 
 def _result_row(r: FitResult, diag_keys: Sequence[str]) -> dict:
-    row = {
-        "estimator": r.estimator,
-        "arm": r.arm,
-        "theta_hat": r.theta_hat,
-        "se": r.se,
-        "p_one": r.p_one,
-        "p_two": r.p_two,
-        "reject": r.reject,
-    }
-    for k in diag_keys:
-        row[f"diag_{k}"] = r.diagnostics.get(k, "")
+    row = {name: getattr(r, name) for name in RESULT_FIELDS}
+    row.update((f"diag_{k}", r.diagnostics.get(k, "")) for k in diag_keys)
     return row
 
 

@@ -11,16 +11,20 @@ from dataclasses import MISSING, fields, replace
 import numpy as np
 
 from .analysis import (
-    ESTIMATORS, ModelSpec, default_model_set, fit, results_to_csv, results_to_json, slice_for_arm,
+    ESTIMATORS, FIT_FAILURES, ModelSpec, default_model_set, fit, results_to_csv, results_to_json,
+    slice_for_arm,
 )
 from .datagen import TREND_PATTERNS, arms_entered_by, read_csv, trend_value
-from .design import ConfigError
+from .design import ConfigError, max_enrollment
 from .simharness import (
     GridSpec, LAMBDA_PROFILES, lambda_multipliers, rows_to_csv, rows_to_json, run_grid,
 )
 from .spline import check_degree
 
 CONFIG_SCHEMA_VERSION = 1
+# Patients a trial may enroll (by max_enrollment) and a trend preview's length:
+# generating and slicing 10^6 patients takes ~0.2 s and 124 MB of peak RSS.
+MAX_TRIAL_PATIENTS = 1_000_000
 _TOP_KEYS = ("schema", "setting", "trial", "trend", "calendar", "models", "run")
 
 
@@ -217,6 +221,15 @@ def load_config(path) -> tuple[GridSpec, dict]:
     models = values["estimators"] = _models(doc.get("models"), errors)
     if "K" in values and "M" in values and values["M"] > values["K"]:
         errors.append(f"trial.M: must be <= K ({values['K']})")
+    if {"K", "n", "d_values"} <= values.keys():
+        trial = {"K": values["K"], "n": values["n"], "d": max(values["d_values"])}
+        if (bound := max_enrollment(**trial)) > MAX_TRIAL_PATIENTS:
+            # name the field whose smallest value shrinks the bound the most
+            smallest = {"K": 2, "n": 2, "d": 0}
+            key = min(smallest, key=lambda k: max_enrollment(**{**trial, k: smallest[k]}))
+            errors.append(f"trial.{key}: a trial of {trial} can enroll {bound} patients, "
+                          f"more than {MAX_TRIAL_PATIENTS}")
+            del values["K"]  # no per-arm check of a trial that size
     if "K" in values and "profile" in values:
         try:
             lambda_multipliers(values["profile"], values["K"])
@@ -271,12 +284,10 @@ def cmd_simulate(args) -> int:
             value = check(value, f"--{flag}")
             grid = replace(grid, **{field: value})
             normalized["run"][key] = value
-    threads = (
-        _default_threads() if args.threads is None else _worker_count(args.threads, "--threads")
-    )
+    threads = (_default_threads() if args.threads is None
+               else _worker_count(args.threads, "--threads"))
     if args.print_config:
-        json.dump(normalized, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        print(json.dumps(normalized, indent=2))
         return 0
     rows = run_grid(grid, threads=threads)
     rows_to_csv(rows, args.out)
@@ -306,14 +317,8 @@ def _parse_models(args) -> list[ModelSpec]:
         calendar = ESTIMATORS[name].needs_c_length
         if calendar and args.c_length is None:
             raise ConfigError(f"{name} requires --c-length")
-        specs.append(
-            ModelSpec(
-                name,
-                c_length=args.c_length if calendar else None,
-                spline_degree=args.spline_degree,
-                **opts,
-            )
-        )
+        specs.append(ModelSpec(name, c_length=args.c_length if calendar else None,
+                               spline_degree=args.spline_degree, **opts))
     return specs
 
 
@@ -323,7 +328,12 @@ def cmd_analyze(args) -> int:
         raise ConfigError(f"arm {args.arm} absent from {args.data}")
     specs = _parse_models(args)
     analysis_set = slice_for_arm(dataset, args.arm, planned=specs)
-    results = [fit(analysis_set, args.arm, spec) for spec in specs]
+    results = []
+    for spec in specs:
+        try:
+            results.append(fit(analysis_set, args.arm, spec))
+        except FIT_FAILURES as exc:  # a known failure on this data: bad input, not a crash
+            raise ConfigError(f"{spec.label}: {exc}") from None
     print(f"{'estimator':<22} {'estimate':>10} {'std.error':>10} {'p_one':>8} {'p_two':>8}")
     for r in results:
         print(
@@ -339,19 +349,29 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_trend_preview(args) -> int:
+    for flag, check in (("lam", _number()), ("psi", _number(lo=1e-9)),
+                        ("n_total", _number(lo=2, hi=MAX_TRIAL_PATIENTS)),
+                        ("K", _number(lo=1, hi=MAX_TRIAL_PATIENTS)), ("d", _number(lo=0))):
+        check(getattr(args, flag), "--" + flag.replace("_", "-"))
+    if args.pattern == "inverted_u":
+        _number(lo=2, hi=args.n_total - 1)(args.n_p, "--n-p")
     if args.entries:
         try:
-            entries = tuple(float(e) for e in args.entries.split(","))
+            entries = _numbers(_number())([float(e) for e in args.entries.split(",")], "--entries")
         except ValueError:
             raise ConfigError("--entries must be a comma-separated list of times") from None
     else:
         entries = tuple(args.d * (k - 1) + 1 for k in range(1, args.K + 1))
     j = np.arange(1, args.n_total + 1)
-    f = trend_value(
-        args.pattern, j, args.lam, args.n_total, n_p=args.n_p, psi=args.psi,
-        arms_entered=arms_entered_by(j, entries) if args.pattern == "stepwise" else None,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        f = trend_value(
+            args.pattern, j, args.lam, args.n_total, n_p=args.n_p, psi=args.psi,
+            arms_entered=arms_entered_by(j, entries) if args.pattern == "stepwise" else None,
+        )
     f = np.broadcast_to(np.asarray(f, dtype=float), j.shape)
+    if not np.isfinite(f).all():
+        flag = "--psi" if args.pattern == "seasonal" else "--lam"
+        raise ConfigError(f"{flag} too large: the trend values overflow")
     lines = ["j,f"] + [f"{int(ji)},{float(fi)!r}" for ji, fi in zip(j, f)]
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -365,8 +385,7 @@ def cmd_trend_preview(args) -> int:
 def cmd_validate(args) -> int:
     grid, normalized = load_config(args.config)
     if args.print_config:
-        json.dump(normalized, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        print(json.dumps(normalized, indent=2))
     else:
         print(f"config OK: {len(grid.cells())} scenario cells, "
               f"{len(grid.estimators)} estimators, {grid.replicates} replicates/cell")

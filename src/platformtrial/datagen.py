@@ -274,8 +274,8 @@ def read_csv(path) -> TrialDataset:
             if not all(map(math.isfinite, values)):
                 raise ConfigError(f"line {lineno}: non-finite value")
             for name, value in zip(("j", "arm"), values):
-                if not value.is_integer():
-                    raise ConfigError(f"line {lineno}: {name} must be an integer, got {value!r}")
+                if not (value.is_integer() and abs(value) < 2**63):  # held as int64
+                    raise ConfigError(f"line {lineno}: {name} must be an integer (int64): {value}")
             patient = int(values[0])
             if patient in line_of_j:
                 raise ConfigError(

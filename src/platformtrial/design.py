@@ -79,6 +79,14 @@ def entry_times(config: TrialConfig) -> tuple[int, ...]:
     return tuple(config.d * (k - 1) + 1 for k in range(1, config.K + 1))
 
 
+def max_enrollment(K: int, n: int, d: int) -> int:
+    """A bound on the patients a trial of K arms of n, entering d apart, enrolls:
+    d(K-1) before the last entry, then at most n/2 full blocks (the last arm
+    to complete gets 2 of each) and one cut block per completing arm, each
+    of at most 2(K+1) patients."""
+    return d * (K - 1) + (n + 2 * K) * (K + 1)
+
+
 def derive_periods(
     entries: Sequence[float],
     exits: Sequence[float],

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .design import ConfigError, interval_indices
-from .regression_engine import DesignMatrix, ols_fit, raise_if_exact
+from .regression_engine import DEGENERATE_TEST, DesignMatrix, exact_fits, ols_fit
 
 _PENALTY = 1e12
 _MAX_EVALS = 20_000  # objective evaluations per fit, grid included
@@ -110,7 +110,8 @@ class _RemlWorkspace:
         # fit also rejects a rank-deficient X, naming its columns, and an exact
         # fit, which leaves sigma2 = 0 at every (rho, gamma) for the search.
         start = ols_fit(DesignMatrix(X=X, y=y, columns=self.columns))
-        raise_if_exact(start, y)
+        if exact_fits([start], y)[0]:
+            raise ConfigError(DEGENERATE_TEST)
         self.b0 = start.beta
         A = np.column_stack([X, y - X @ self.b0])
         counts = np.bincount(groups).astype(float)
@@ -204,8 +205,8 @@ def reml_fit(
     and its lowest local minima (one when independent, two for AR(1)) are
     zoomed, except at the lower bound of log gamma: that is the boundary gamma
     -> 0 solution (legitimate, not an error). The lowest point found is the
-    estimate; a non-PD A'W^-1 A there raises LinAlgError. An exact fit raises
-    the ConfigError of ``raise_if_exact`` before the grid. A fit whose next
+    estimate; a non-PD A'W^-1 A there raises LinAlgError. An exact fit
+    (``exact_fits``) raises ConfigError before the grid. A fit whose next
     zoom level would exceed _MAX_EVALS stops with converged=False.
     ``iterations`` counts every objective evaluation, each grid point included.
     """

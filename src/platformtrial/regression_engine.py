@@ -1,7 +1,7 @@
 """Least-squares core: design assembly, OLS by the normal equations, t-tests.
 
 Least squares has two entry points with one rank rule and one exact-fit rule
-(:func:`raise_if_exact`): :func:`ols_fit` on a row-level design from
+(:func:`exact_fits`): :func:`ols_fit` on a row-level design from
 :func:`build_design` (the spline designs, the two-sample t-tests, REML's
 starting shift), and :func:`cell_ols_each` on the interval-indicator designs
 of the fixed-effect estimators, from per-(arm x interval) cell counts and
@@ -59,11 +59,6 @@ class WaldTest(NamedTuple):
     p_one: float
     p_two: float
     reject: bool
-
-
-def t_sf(t: float, df: float) -> float:
-    """Upper-tail probability P(T_df > t): the one-sided p of a t-test of t at unit SE."""
-    return t_test(t, 1.0, df).p_one
 
 
 # ---------------------------------------------------------------------------
@@ -157,13 +152,6 @@ def exact_fits(fits: Sequence, y: np.ndarray) -> list[bool]:
     y'y serves every fit."""
     bound = (y.size * _EPS) ** 2 * float(y @ y)
     return [isinstance(fit, OlsFit) and fit.sigma2_hat * fit.df <= bound for fit in fits]
-
-
-def raise_if_exact(fit: OlsFit, y: np.ndarray) -> None:
-    """Raise the degenerate-test ``ConfigError`` when ``fit`` reproduces y
-    (see :func:`exact_fits`)."""
-    if exact_fits([fit], y)[0]:
-        raise ConfigError(DEGENERATE_TEST)
 
 
 def _check_size(n: int, p: int) -> None:

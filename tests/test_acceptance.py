@@ -19,7 +19,7 @@ from platformtrial import (
     run_scenario,
 )
 from platformtrial.mixed_model import _RemlWorkspace, reml_fit
-from platformtrial.regression_engine import DesignMatrix, ols_fit, t_sf
+from platformtrial.regression_engine import DesignMatrix, ols_fit, t_test
 from platformtrial.simharness import GridSpec, rows_to_csv, run_grid
 from platformtrial.spline import SplineBasis, basis_matrix
 
@@ -294,7 +294,8 @@ def test_criterion_10_oracle_suites():
     # Student-t CDF vs quadrature
     for df in (1, 3, 10, 120, 498):
         for t in (-4.0, -1.2, 0.0, 0.8, 2.5, 4.0):
-            assert t_sf(t, df) == pytest.approx(t_sf_quad(t, df), abs=T_SF_ORACLE_TOL)
+            p_one = t_test(t, 1.0, df).p_one
+            assert p_one == pytest.approx(t_sf_quad(t, df), abs=T_SF_ORACLE_TOL)
 
     # AR(1) positive definite across the rho grid up to +/- 0.99
     for m_ in (2, 10, 40):

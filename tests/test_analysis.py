@@ -1,3 +1,4 @@
+import copy
 import csv
 import gc
 import json
@@ -6,7 +7,7 @@ import pickle
 import re
 import time
 import weakref
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, asdict, replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from platformtrial import analysis, mixed_model
 from platformtrial.analysis import (
     ESTIMATORS,
     AnalysisSet,
+    Diagnostics,
     FitResult,
     ModelSpec,
     default_model_set,
@@ -577,19 +579,39 @@ class TestKeptFits:
         finally:
             gc.enable()
 
-    def test_every_call_gets_its_own_diagnostics(self):
+    def test_every_call_gets_the_one_read_only_result(self):
+        # no call can change what another call reads: the one kept result,
+        # its fields and its diagnostics refuse every change
         prepared = self.sliced()
-        spec = ModelSpec("mixed_period")
-        first = fit(prepared, 3, spec)
+        first = fit(prepared, 3, ModelSpec("mixed_period"))
         expected = dict(first.diagnostics)
-        first.diagnostics["converged"] = False
-        second = fit(prepared, 3, spec)
-        assert second.diagnostics == expected
-        second.diagnostics.clear()
-        third = fit(prepared, 3, spec)
-        assert third.diagnostics == expected
-        assert len({id(r.diagnostics) for r in (first, second, third)}) == 3
+        changes = (
+            lambda d: d.__setitem__("converged", False), lambda d: d.__delitem__("converged"),
+            lambda d: d.update(converged=False), lambda d: d.clear(),
+            lambda d: d.pop("converged"), lambda d: d.popitem(),
+            lambda d: d.setdefault("rho", 0.5), lambda d: d.__ior__({"rho": 0.5}),
+        )
+        for change in changes:
+            with pytest.raises(TypeError, match="read-only"):
+                change(first.diagnostics)
+        with pytest.raises(FrozenInstanceError):
+            first.diagnostics = {}
+        assert fit(prepared, 3, ModelSpec("mixed_period")) is first
+        assert first.diagnostics == expected and type(first.diagnostics) is Diagnostics
 
+    def test_a_result_works_with_the_standard_copy_tools(self):
+        result = fit(self.sliced(), 3, ModelSpec("mixed_period"))
+        for copied in (pickle.loads(pickle.dumps(result)), copy.deepcopy(result),
+                       copy.copy(result)):
+            assert copied == result and type(copied.diagnostics) is Diagnostics
+            with pytest.raises(TypeError, match="read-only"):
+                copied.diagnostics["converged"] = False
+        assert replace(result, se=1.0).diagnostics == result.diagnostics
+        assert asdict(result)["diagnostics"] == dict(result.diagnostics)
+        assert json.loads(json.dumps(result.diagnostics)) == dict(result.diagnostics)
+        # a plain dict given is made read-only
+        made = FitResult("pooled", 1, 0.1, 1.0, 0.1, 0.46, 0.92, False, {"df": 3})
+        assert type(made.diagnostics) is Diagnostics and made.diagnostics == {"df": 3}
 
 def imported_trial(rng, K, n, gap):
     """Real-valued times in shuffled order, arms entering and leaving at

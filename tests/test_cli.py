@@ -5,9 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from platformtrial.cli import load_config, main
+from platformtrial.cli import MAX_TRIAL_PATIENTS, load_config, main
 from platformtrial.datagen import TrendSpec, generate_trial, read_csv, write_csv
-from platformtrial.design import TrialConfig
+from platformtrial.design import TrialConfig, max_enrollment
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -137,6 +137,28 @@ class TestValidate:
         doc[section][key] = values[:-1]
         path.write_text(json.dumps(doc))
         assert main(["validate", str(path)]) == 0
+
+    @pytest.mark.parametrize("trial, named", [
+        ({"n": 10**12}, "trial.n"), ({"d": [10**9]}, "trial.d"), ({"K": 10**6, "M": 1}, "trial.K"),
+    ])
+    def test_trial_enrolling_too_many_patients_rejected(self, tmp_path, capsys, trial, named):
+        doc = json.loads((CONFIGS / "smoke.json").read_text())
+        doc["trial"].update(trial)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {named}:" in err and f"more than {MAX_TRIAL_PATIENTS}" in err
+
+    def test_bundled_configs_enroll_below_the_limit(self):
+        enrolled = []
+        for grid, _ in map(load_config, sorted(CONFIGS.glob("*.json"))):
+            d = max(grid.d_values)
+            config = TrialConfig(K=grid.K, d=d, n=grid.n, eta0=0.0, theta=(0.0,) * grid.K,
+                                 sigma=1.0, M=grid.M)
+            enrolled.append(len(generate_trial(config, TrendSpec.none(grid.K), "null")))
+            assert enrolled[-1] <= max_enrollment(grid.K, grid.n, d) <= MAX_TRIAL_PATIENTS
+        assert max(enrolled) == 5000  # the setting1*_desk trials at d = 500 (bound 7470)
 
     def test_print_config_round_trips(self, tmp_path, capsys):
         path = write_config(tmp_path, calendar={"c_length": [50, 100]})
@@ -309,6 +331,22 @@ class TestAnalyze:
                      "--models", "fixed_period,pooled"]) == 2
         assert f"line 10: {column} must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column", ["j", "arm"])
+    def test_id_beyond_int64_exits_two(self, tmp_path, capsys, column):
+        data, _ = make_dataset_csv(tmp_path, seed=5)
+        set_field(data, 10, column, "1e300")
+        assert main(["analyze", "--data", str(data), "--arm", "2"]) == 2
+        assert f"line 10: {column} must be an integer" in capsys.readouterr().err
+
+    def test_unfittable_estimator_exits_two_naming_it(self, tmp_path, capsys):
+        # a record a trillion time units after the others: the spline basis
+        # has empty columns, a known failure of the fit, not a runtime error
+        data, _ = make_dataset_csv(tmp_path, seed=5)
+        last = len(data.read_text().splitlines())
+        set_field(data, last, "time", "1e12")
+        assert main(["analyze", "--data", str(data), "--arm", "2"]) == 2
+        assert "error: spline_period_q3: collinear design columns" in capsys.readouterr().err
+
     def test_duplicate_patient_exits_two(self, tmp_path, capsys):
         data, _ = make_dataset_csv(tmp_path, seed=5)
         lines = data.read_text().splitlines()
@@ -399,6 +437,21 @@ class TestTrendPreview:
         assert all(v == 0.0 for v in values[:10])
         assert all(math.isclose(v, 0.2) for v in values[10:20])
         assert all(math.isclose(v, 0.4) for v in values[20:])
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--lam", "nan"], "--lam"),
+        (["--pattern", "seasonal", "--psi", "nan"], "--psi"),
+        (["--lam", "inf"], "--lam"),
+        (["--pattern", "stepwise", "--entries", "1,nan"], "--entries"),
+        (["--pattern", "stepwise", "--K", "0"], "--K"),
+        (["--pattern", "stepwise", "--d", "-2"], "--d"),
+    ], ids=["lam_nan", "psi_nan", "lam_inf", "entries_nan", "K_zero", "d_negative"])
+    def test_bad_flag_exits_two_before_any_row(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "trend.csv"
+        args = ["trend-preview", "--pattern", "linear", "--n-total", "20", *flags]
+        assert main([*args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {named}")
+        assert not out.exists()
 
     def test_invalid_pattern_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -17,7 +17,7 @@ from platformtrial.datagen import (
     write_csv,
 )
 from platformtrial.analysis import slice_for_arm
-from platformtrial.design import ConfigError, TrialConfig, derive_periods
+from platformtrial.design import ConfigError, TrialConfig, derive_periods, max_enrollment
 
 
 def make_config(**kw):
@@ -101,6 +101,27 @@ def test_assignment_matches_per_patient_oracle(K, d, n, seed):
     assert np.array_equal(arms, want_arms)
     assert entries == want_entries and exits == want_exits
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    K=st.integers(min_value=2, max_value=10),
+    d=st.one_of(st.just(0), st.integers(min_value=0, max_value=300)),
+    n=st.integers(min_value=2, max_value=60),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_max_enrollment_bounds_generated_trials(K, d, n, seed):
+    config = make_config(K=K, d=d, n=n, theta=(0.25,) * K, M=1)
+    size = len(generate_trial(config, TrendSpec.none(K), "null", seed=seed))
+    assert d * (K - 1) + n <= size <= max_enrollment(K, n, d)
+
+
+def test_cut_blocks_can_enroll_past_the_full_block_count():
+    # arms entering together at n = 4 leave cut blocks that d(K-1) + n(K+1)
+    # does not count; max_enrollment does
+    size = len(generate_trial(make_config(K=8, d=0, n=4, theta=(0.25,) * 8, M=1),
+                              TrendSpec.none(8), "null", seed=0))
+    assert 4 * 9 < size == 37 <= max_enrollment(8, 4, 0)
 
 
 class TestGenerateTrial:

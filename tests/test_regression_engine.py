@@ -12,12 +12,13 @@ from platformtrial.regression_engine import (
     RankDeficiencyError,
     build_design,
     cell_ols_each,
+    exact_fits,
     ols_fit,
     sort_cells,
-    t_sf,
     t_test,
     wald_test,
 )
+from platformtrial.mixed_model import reml_fit
 from platformtrial.spline import knots_at
 
 from oracles import column_stack_design, normal_equations_ols, qr_ols, scalar_t_test, t_sf_quad
@@ -28,20 +29,21 @@ class TestStudentT:
         # acceptance tolerance 1e-10 on a (df, t) grid
         for df in (1, 2, 3, 5, 10, 30, 120, 498, 1526):
             for t in (-8.0, -3.3, -1.5, -0.3, 0.0, 0.4, 1.0, 1.9647, 2.8, 6.0):
-                assert t_sf(t, df) == pytest.approx(t_sf_quad(t, df), abs=1e-10)
+                assert t_test(t, 1.0, df).p_one == pytest.approx(t_sf_quad(t, df), abs=1e-10)
 
     def test_symmetry_and_limits(self):
-        assert t_sf(0.0, 7) == 0.5
-        assert t_sf(-2.0, 9) == pytest.approx(1.0 - t_sf(2.0, 9), abs=1e-14)
+        assert t_test(0.0, 1.0, 7).p_one == 0.5
+        upper = t_test(2.0, 1.0, 9).p_one
+        assert t_test(-2.0, 1.0, 9).p_one == pytest.approx(1.0 - upper, abs=1e-14)
 
     def test_two_sided_p_near_five_percent(self):
-        p_two = 2.0 * t_sf(1.9647, 498)
+        p_two = 2.0 * t_test(1.9647, 1.0, 498).p_one
         assert p_two == pytest.approx(2.0 * t_sf_quad(1.9647, 498), abs=1e-10)
         assert p_two == pytest.approx(0.05, abs=5e-4)
 
     def test_bad_df(self):
         with pytest.raises(ConfigError):
-            t_sf(1.0, 0)
+            t_test(1.0, 1.0, 0)
 
 
 class TestOlsFit:
@@ -82,6 +84,20 @@ class TestOlsFit:
         r = y - X @ fit.beta
         scale = np.abs(X).max() * np.abs(y).max()
         assert np.abs(X.T @ r).max() < 1e-8 * scale
+
+    def test_exact_fits_flags_least_squares_fits_that_reproduce_y(self):
+        # a noise-free fit leaves rounding noise, not a zero residual; REML's
+        # fits are never flagged, as their sigma2 is no residual mean square
+        rng = np.random.default_rng(0)
+        X = np.column_stack([np.ones(40), rng.normal(size=(40, 3))])
+        y = X @ np.array([1.0, -2.0, 0.5, 3.0])
+        exact = ols_fit(DesignMatrix(X=X, y=y, columns=tuple("iabc")))
+        y_noisy = y + 1e-6 * rng.normal(size=40)
+        noisy = ols_fit(DesignMatrix(X=X, y=y_noisy, columns=tuple("iabc")))
+        assert exact.sigma2_hat * exact.df > 0.0
+        mixed = reml_fit(X, rng.integers(1, 4, 40), y_noisy)
+        assert exact_fits([exact, mixed], y) == [True, False]
+        assert exact_fits([noisy], y_noisy) == [False]
 
     def test_exact_linear_combination_raises(self):
         rng = np.random.default_rng(4)

@@ -62,9 +62,10 @@ def test_fit_timing_compares_a_tree_with_itself(tmp_path):
         capture_output=True, text=True, check=True, timeout=300,
     )
     out = run.stdout.splitlines()
-    # the whole group on a fresh set: its 3 distinct specs
-    (group,) = [line.split() for line in run.stderr.splitlines()]
+    # the whole group on a fresh set: its 3 distinct specs; then a kept read
+    group, kept = [line.split() for line in run.stderr.splitlines()]
     assert group[:4] == ["group", "(3", "specs)", "-"] and all(float(us) > 0 for us in group[4:])
+    assert kept[:3] == ["kept", "read", "-"] and all(float(us) > 0 for us in kept[3:])
     assert out[0].split() == ["estimator", "c_length", "us_parent", "us_change", "ratio"]
     rows = [line.split() for line in out[1:]]
     # one row per distinct spec of the group: separate ignores c_length
