@@ -10,8 +10,16 @@ worker count:
     python3 scripts/grid_cmp.py /tmp/parent --reps 2
     python3 scripts/grid_cmp.py /tmp/parent --reps 2 --seed 4242
 
+``--config NAME`` and ``--threads N`` (each repeatable) run only those
+configs and worker counts, e.g. for the peak RSS of one config at many
+replicates:
+
+    python3 scripts/grid_cmp.py /tmp/parent --reps 1000 --config setting2a_desk --threads 1
+
 Prints one line per config and worker count: whether the two CSVs are
-byte-identical and, where they are not, the largest deviation of a float
+byte-identical, each tree's peak RSS in MB (the largest ``ru_maxrss`` of the
+simulating process and the workers it ran, from ``os.wait4``) and, where the
+CSVs are not identical, the largest deviation of a float
 column in units of perfbench's tolerance (FLOAT_ATOL + FLOAT_RTOL * |parent|,
 from ``perfbench/run.py``) with the column and estimator where it occurs,
 whether the text and integer columns are equal, and whether ``reject_rate``
@@ -36,8 +44,10 @@ from run import FLOAT_ATOL, FLOAT_COLUMNS, FLOAT_RTOL  # noqa: E402
 THREADS = (1, 2)
 
 
-def simulate(tree: Path, config: Path, threads: int, reps: int, seed: int | None) -> bytes:
-    """The grid CSV that ``tree``'s package writes for ``config``."""
+def simulate(tree: Path, config: Path, threads: int, reps: int,
+             seed: int | None) -> tuple[bytes, float]:
+    """The grid CSV that ``tree``'s package writes for ``config``, and the
+    run's peak RSS in MB."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "grid.csv"
         cmd = [sys.executable, "-m", "platformtrial.cli", "simulate", str(config),
@@ -45,8 +55,12 @@ def simulate(tree: Path, config: Path, threads: int, reps: int, seed: int | None
         if seed is not None:
             cmd += ["--seed", str(seed)]
         env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-        subprocess.run(cmd, env=env, check=True, stdout=subprocess.DEVNULL)
-        return out.read_bytes()
+        proc = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode:
+            raise subprocess.CalledProcessError(proc.returncode, cmd)
+        return out.read_bytes(), usage.ru_maxrss / 1024  # Linux reports KiB
 
 
 def deviation(change: str, parent: str) -> float:
@@ -88,14 +102,20 @@ def main(argv=None) -> int:
     ap.add_argument("parent", type=Path, help="root of the parent source tree")
     ap.add_argument("--reps", type=int, default=2, help="replicates per cell (default 2)")
     ap.add_argument("--seed", type=int, default=None, help="override the root seed")
+    ap.add_argument("--config", action="append", help="only this bundled config (repeatable)")
+    ap.add_argument("--threads", type=int, action="append",
+                    help="only this worker count (repeatable; default 1 and 2)")
     args = ap.parse_args(argv)
     parent = args.parent.resolve()
-    print(f"{'config':<16} {'threads':>7} {'identical':>9} {'max_dev_tol':>11} {'column':>11} "
-          f"{'estimator':>20} {'other_equal':>11} {'reject_equal':>12}")
-    for config in sorted((ROOT / "configs").glob("*.json")):
-        for threads in THREADS:
-            result = compare(*(simulate(tree, config, threads, args.reps, args.seed)
-                               for tree in (ROOT, parent)))
+    print(f"{'config':<16} {'threads':>7} {'identical':>9} {'rss_mb':>8} {'parent_rss_mb':>13} "
+          f"{'max_dev_tol':>11} {'column':>11} {'estimator':>20} {'other_equal':>11} "
+          f"{'reject_equal':>12}")
+    configs = sorted((ROOT / "configs").glob("*.json"))
+    for config in [c for c in configs if args.config is None or c.stem in args.config]:
+        for threads in args.threads or THREADS:
+            (change, rss), (parent_csv, parent_rss) = (
+                simulate(tree, config, threads, args.reps, args.seed) for tree in (ROOT, parent))
+            result = compare(change, parent_csv)
             if result["identical"]:
                 cells = ("yes", "-", "-", "-", "-", "-")
             elif "rows" in result:
@@ -104,8 +124,8 @@ def main(argv=None) -> int:
                 cells = ("no", f"{result['max_dev_tol']:.3g}", result["column"],
                          result["estimator"], str(result["other_columns_equal"]).lower(),
                          str(result["reject_rate_equal"]).lower())
-            print(f"{config.stem:<16} {threads:>7} {cells[0]:>9} {cells[1]:>11} {cells[2]:>11} "
-                  f"{cells[3]:>20} {cells[4]:>11} {cells[5]:>12}")
+            print(f"{config.stem:<16} {threads:>7} {cells[0]:>9} {rss:>8.1f} {parent_rss:>13.1f} "
+                  f"{cells[1]:>11} {cells[2]:>11} {cells[3]:>20} {cells[4]:>11} {cells[5]:>12}")
     return 0
 
 

@@ -313,7 +313,7 @@ def _fit_fixed(prep: AnalysisSet, specs: Sequence[ModelSpec]) -> list[FitResult 
     and one Wald pass.
 
     The records are sorted for the pass and not kept: a set that plans its
-    specs makes one pass, and a data-key group keeps every replicate's set.
+    specs makes one pass, and no other fit reads the sort.
     """
     estimates, diags, partitions = [], [], []
     for spec in specs:

@@ -25,6 +25,14 @@ CONFIG_SCHEMA_VERSION = 1
 # Patients a trial may enroll (by max_enrollment) and a trend preview's length:
 # generating and slicing 10^6 patients takes ~0.2 s and 124 MB of peak RSS.
 MAX_TRIAL_PATIENTS = 1_000_000
+# Bound of |eta0|, |effect|, sigma and |lambda| x the largest profile multiplier.
+# N <= MAX_TRIAL_PATIENTS patients come in K < sqrt(N/2) arms, so a response
+# (eta0 + effect + K-1 stepwise steps + sigma x a normal draw below 40) is below
+# sqrt(N) x the bound, and y'y below N^2 x its square: the float maximum.
+MAX_MODEL_SCALE = math.sqrt(sys.float_info.max) / MAX_TRIAL_PATIENTS
+# A run keeps only a data-key group's outcome lists across replicates: ~11 KB per
+# replicate on setting2a_desk, so ~1 GB at this bound, 100x the paper's 1000.
+MAX_REPLICATES = 100_000
 _TOP_KEYS = ("schema", "setting", "trial", "trend", "calendar", "models", "run")
 
 
@@ -119,10 +127,10 @@ _CONFIG = {
         "K": ("K", _number(lo=2, integer=True)),
         "d": ("d_values", _distinct(_numbers(_number(lo=0, integer=True)))),
         "n": ("n", _number(lo=2, integer=True)),
-        "eta0": ("eta0", _number()),
-        "sigma": ("sigma", _number(lo=1e-12)),
+        "eta0": ("eta0", _number(lo=-MAX_MODEL_SCALE, hi=MAX_MODEL_SCALE)),
+        "sigma": ("sigma", _number(lo=1e-12, hi=MAX_MODEL_SCALE)),
         "M": ("M", _number(lo=1, integer=True)),
-        "effect": ("effect", _number()),
+        "effect": ("effect", _number(lo=-MAX_MODEL_SCALE, hi=MAX_MODEL_SCALE)),
     },
     "trend": {
         "patterns": ("patterns", _distinct(_subset(TREND_PATTERNS))),
@@ -134,7 +142,7 @@ _CONFIG = {
     "calendar": {"c_length": ("c_lengths", _distinct(_numbers(_number(lo=1))))},
     "run": {
         "hypotheses": ("hypotheses", _distinct(_subset(("null", "alternative")))),
-        "replicates": ("replicates", _number(lo=1, integer=True)),
+        "replicates": ("replicates", _number(lo=1, hi=MAX_REPLICATES, integer=True)),
         "seed": ("seed", _number(lo=0, integer=True)),
         "alpha": ("alpha", _number(lo=1e-9, hi=1 - 1e-9)),
         "sided": ("sided", _one_of(("one_greater", "two"))),
@@ -232,9 +240,14 @@ def load_config(path) -> tuple[GridSpec, dict]:
             del values["K"]  # no per-arm check of a trial that size
     if "K" in values and "profile" in values:
         try:
-            lambda_multipliers(values["profile"], values["K"])
+            mult = lambda_multipliers(values["profile"], values["K"])
         except ConfigError as exc:
             errors.append(f"trend.profile: {exc}")
+        else:
+            top = max(map(abs, values.get("lambdas", (0.0,)))) * max(map(abs, mult))
+            if top > MAX_MODEL_SCALE:
+                errors.append(f"trend.lambda: |lambda| x the largest profile multiplier is {top}, "
+                              f"more than {MAX_MODEL_SCALE}")
     patterns = values.get("patterns", ())
     if "inverted_u" in patterns and "n_p" in values and values["n_p"] is None:
         errors.append("trend.n_p: required when patterns include inverted_u")

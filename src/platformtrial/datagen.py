@@ -288,12 +288,17 @@ def read_csv(path) -> TrialDataset:
             y.append(values[3])
     if not j:
         raise ConfigError("dataset is empty")
+    y_arr = np.asarray(y, dtype=float)
+    with np.errstate(over="ignore"):  # every fit's exact-fit rule takes y'y
+        if not math.isfinite(y_arr @ y_arr):
+            i = int(np.argmax(np.abs(y_arr)))
+            raise ConfigError(f"line {line_of_j[j[i]]}: response {y[i]!r} too large: y'y overflows")
     arm_arr = np.asarray(arm, dtype=np.int64)
     t_arr = np.asarray(t, dtype=float)
     return TrialDataset(
         j=np.asarray(j, dtype=np.int64),
         arm=arm_arr,
         t=t_arr,
-        y=np.asarray(y, dtype=float),
+        y=y_arr,
         timeline=empirical_timeline(arm_arr, t_arr),
     )

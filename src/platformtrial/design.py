@@ -121,7 +121,7 @@ def derive_calendar(
     if horizon < start:
         raise ConfigError(f"horizon {horizon} lies before trial start {start}")
     units = (horizon - start) / c_length
-    if not math.isfinite(units):
+    if not (abs(start) + abs(horizon)) / c_length < 2.0**48:  # NaN, inf, or starts floats blur
         raise ConfigError(f"c_length {c_length} cannot partition the span {start} to {horizon}")
     # unit i starts at start + i * c_length (multiply, not accumulate: no float
     # drift); the division may round the count of starts at or before the

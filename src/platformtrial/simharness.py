@@ -108,33 +108,29 @@ def replicate_seed(scenario: Scenario, index: int) -> np.random.SeedSequence:
 
 
 class _Group(NamedTuple):
-    """What the cells of a data-key group share at one worker: the specs of
-    all its cells, the analysis sets its cells have made, by replicate, and
-    the summary of each spec a cell has summarized, by spec."""
+    """A data-key group at one replicate: its cells' specs, and its set once made."""
 
     specs: tuple[ModelSpec, ...]
     sets: dict[int, AnalysisSet]
-    stats: dict[ModelSpec, EstimatorStats]
 
 
-def run_replicate(
-    scenario: Scenario, index: int, _shared: _Group | None = None
-) -> list[tuple[str, bool, bool, float]]:
+Outcome = tuple[str, bool, bool, float]
+
+
+def run_replicate(scenario: Scenario, index: int, group: _Group) -> list[Outcome]:
     """One replicate: (estimator label, failed, reject, theta_hat) per estimator.
 
-    ``_shared`` is the data-key group of this scenario's cell: a set its cells
-    have already made is read, a missing one is made for the group's specs
-    and added. Without a group, the set is made for this cell's specs.
+    The cell reads the set of ``group`` (see ``_run_group``), or makes it for
+    the group's specs if it is the group's first cell.
     """
     M = scenario.config.M
-    specs, sets, _ = _Group(scenario.estimators, {}, {}) if _shared is None else _shared
+    specs, sets = group
     analysis_set = sets.get(index)
     if analysis_set is None:
         dataset = generate_trial(
             scenario.config, scenario.trend, scenario.hypothesis, seed=replicate_seed(scenario, index)
         )
-        # outside the per-fit try: a generated trial completes arm M, so this
-        # cannot raise
+        # outside the per-fit try: a generated trial completes arm M, so it cannot raise
         analysis_set = sets[index] = slice_for_arm(dataset, M, planned=specs)
     out = []
     for spec in scenario.estimators:
@@ -143,17 +139,28 @@ def run_replicate(
             failed = not bool(r.diagnostics.get("converged", True))
             out.append((spec.label, failed, bool(r.reject), float(r.theta_hat)))
         except Exception as exc:  # rank deficiency etc.: recorded, never fatal
-            exc.__traceback__ = None  # a kept failure would hold this frame, and the group's sets
+            exc.__traceback__ = None  # a kept failure would hold this frame, and so the set
             out.append((spec.label, True, False, float("nan")))
     return out
 
 
-def _run_chunk(scenario: Scenario, indices: Sequence[int]):
-    return [run_replicate(scenario, i) for i in indices]
+def _run_group(cells: Sequence[Scenario], indices: Sequence[int]) -> list[list[list[Outcome]]]:
+    """Each cell's outcomes of replicates ``indices``, in replicate order.
+
+    The cells are one data-key group, run replicate by replicate: each set is
+    made once, for every cell's specs, and dropped before the next is made.
+    """
+    specs = tuple(dict.fromkeys(spec for cell in cells for spec in cell.estimators))
+    per_cell = [[] for _ in cells]
+    for index in indices:
+        group = _Group(specs, {})
+        for cell, outcomes in zip(cells, per_cell):
+            outcomes.append(run_replicate(cell, index, group))
+    return per_cell
 
 
 def run_scenario(
-    scenario: Scenario, threads: int = 1, _shared: _Group | None = None
+    scenario: Scenario, threads: int = 1, _outcomes: list[list[Outcome]] | None = None
 ) -> OperatingCharacteristics:
     """Estimate rejection rate, estimate moments, and failure counts per estimator.
 
@@ -161,57 +168,47 @@ def run_scenario(
     rates and reported in ``failures``. Replicates run with every OpenBLAS at
     one thread; ``threads`` worker processes (at most one per replicate) run
     them in parallel, in balanced contiguous chunks; the workers fork from
-    this process and inherit the modules it has imported. Replicates run in this
-    process read and fill ``_shared`` (see ``run_replicate``), and so does the
-    summary of each spec: a spec another cell of the group has summarized is
-    read, not summarized again.
+    this process and inherit the modules it has imported. Outcomes that the
+    cell's data-key group has run (``_outcomes``, see ``run_grid``) are summarized.
     """
     n = scenario.replicates
-    indices = range(n)
     workers = min(threads, n)
-    with blas.single_thread():  # forked workers inherit the one-thread counts
-        if workers > 1:
-            if any(spec.kind.family == "spline" for spec in scenario.estimators):
-                spline.preload()  # once here, not in every forked worker
-            chunks = [indices[i * n // workers:(i + 1) * n // workers] for i in range(workers)]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                chunk_results = pool.map(_run_chunk, itertools.repeat(scenario), chunks)
-                per_rep = [res for results in chunk_results for res in results]
-        else:
-            per_rep = [run_replicate(scenario, i, _shared) for i in indices]
-
-    # a cell of a group reads the summary of a spec another cell has made: the
-    # group's cells run the same replicates on the same sets, and a data key
-    # fixes the true effect
-    stats = {} if _shared is None else _shared.stats
-    per_estimator: dict[str, EstimatorStats] = {}
-    for pos, spec in enumerate(scenario.estimators):
-        st = stats.get(spec)
-        if st is None:
-            st = stats[spec] = _summary(spec.label, [rep[pos] for rep in per_rep],
-                                        scenario.true_effect)
-        per_estimator[spec.label] = st
+    if _outcomes is None:
+        with blas.single_thread():  # forked workers inherit the one-thread counts
+            if workers > 1:
+                if any(spec.kind.family == "spline" for spec in scenario.estimators):
+                    spline.preload()  # once here, not in every forked worker
+                chunks = [range(i * n // workers, (i + 1) * n // workers) for i in range(workers)]
+                with ProcessPoolExecutor(max_workers=workers) as pool:
+                    chunk_results = pool.map(_run_group, itertools.repeat((scenario,)), chunks)
+                    _outcomes = [rep for (results,) in chunk_results for rep in results]
+            else:
+                (_outcomes,) = _run_group((scenario,), range(n))
+    per_estimator = {
+        spec.label: _summary(spec.label, [rep[pos] for rep in _outcomes], scenario.true_effect)
+        for pos, spec in enumerate(scenario.estimators)
+    }
     return OperatingCharacteristics(scenario=scenario, per_estimator=per_estimator)
 
 
-def _summary(label: str, outcomes: list[tuple[str, bool, bool, float]],
-             true_effect: float) -> EstimatorStats:
-    """Rejection rate, estimate moments and failures of one estimator's replicates."""
-    rejects, estimates, failures = [], [], 0
-    for _, failed, reject, theta in outcomes:
-        if failed:
-            failures += 1
-        else:
-            rejects.append(reject)
-            estimates.append(theta)
-    n_ok = len(rejects)
+def _summary(label: str, outcomes: list[Outcome], true_effect: float) -> EstimatorStats:
+    """Rejection rate, estimate moments and failures of one estimator's replicates.
+
+    The moments are ``np.mean`` and ``np.std(ddof=1)`` bit for bit: the same
+    ``np.add.reduce`` calls on one float64 array, without their wrappers.
+    """
+    kept = [(reject, theta) for _, failed, reject, theta in outcomes if not failed]
+    n_ok = len(kept)
+    rate = mc_se = mean_est = emp_se = float("nan")
     if n_ok:
-        rate = sum(rejects) / n_ok
+        rate = sum(reject for reject, _ in kept) / n_ok
         mc_se = math.sqrt(rate * (1.0 - rate) / n_ok)
-        mean_est = float(np.mean(estimates))
-        emp_se = float(np.std(estimates, ddof=1)) if n_ok > 1 else float("nan")
-    else:
-        rate = mc_se = mean_est = emp_se = float("nan")
+        estimates = np.array([theta for _, theta in kept])
+        mean = np.add.reduce(estimates) / n_ok
+        mean_est = float(mean)
+        if n_ok > 1:
+            dev = estimates - mean
+            emp_se = math.sqrt(np.add.reduce(dev * dev) / (n_ok - 1))
     return EstimatorStats(
         estimator=label,
         reps=n_ok,
@@ -219,8 +216,8 @@ def _summary(label: str, outcomes: list[tuple[str, bool, bool, float]],
         mc_se=mc_se,
         mean_est=mean_est,
         emp_se=emp_se,
-        bias=mean_est - true_effect if n_ok else float("nan"),
-        failures=failures,
+        bias=mean_est - true_effect,
+        failures=len(outcomes) - n_ok,
     )
 
 
@@ -315,41 +312,25 @@ def run_grid(grid: GridSpec, threads: int = 1) -> list[dict]:
     stops again.
 
     Consecutive cells with the same data key (the c_length axis) simulate the
-    same datasets. At one worker they share each replicate's analysis set:
-    the group's first cell makes it with every cell's specs planned, the
-    others read it. They share each spec's summary as well, so a spec in
-    every cell (one without a c_length) is summarized once. The sets and
-    summaries are dropped when the group ends.
+    same datasets. At one worker they run as one data-key group
+    (``_run_group``), which makes and fits each replicate's set once for all
+    of them; at two or more workers each cell runs in its own pool.
     """
     rows = []
     with blas.single_thread():
         groups = itertools.groupby(grid._cells_with_axes(), key=lambda cell: cell[2])
         for _, group in groups:
-            group = list(group)
-            shared = None
-            if threads <= 1 and len(group) > 1:
-                specs = dict.fromkeys(spec for *_, scenario in group for spec in scenario.estimators)
-                shared = _Group(tuple(specs), {}, {})
-            for lam, c_length, _, scenario in group:
-                oc = run_scenario(scenario, threads, shared)
-                for spec in scenario.estimators:
-                    st = oc.per_estimator[spec.label]
-                    rows.append({
-                        "setting": grid.setting,
-                        "pattern": scenario.trend.pattern,
-                        "lambda": lam,
-                        "d": scenario.config.d,
-                        "c_length": c_length,
-                        "estimator": st.estimator,
-                        "hypothesis": scenario.hypothesis,
-                        "reps": st.reps,
-                        "reject_rate": st.reject_rate,
-                        "mc_se": st.mc_se,
-                        "mean_est": st.mean_est,
-                        "emp_se": st.emp_se,
-                        "bias": st.bias,
-                        "failures": st.failures,
-                    })
+            lams, c_lengths, _, cells = zip(*group)
+            per_cell = (_run_group(cells, range(grid.replicates)) if threads <= 1
+                        else [None] * len(cells))
+            for lam, c_length, scenario, outcomes in zip(lams, c_lengths, cells, per_cell):
+                axes = {"setting": grid.setting, "pattern": scenario.trend.pattern,
+                        "lambda": lam, "d": scenario.config.d, "c_length": c_length,
+                        "hypothesis": scenario.hypothesis}
+                for st in run_scenario(scenario, threads, outcomes).per_estimator.values():
+                    row = {**axes, **vars(st)}
+                    rows.append({key: row[key] for key in GRID_CSV_HEADER})
+            del per_cell, outcomes  # the next group runs without this one's outcomes
     return rows
 
 

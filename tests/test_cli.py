@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from platformtrial.cli import MAX_TRIAL_PATIENTS, load_config, main
+from platformtrial.cli import MAX_MODEL_SCALE, MAX_REPLICATES, MAX_TRIAL_PATIENTS, load_config, main
 from platformtrial.datagen import TrendSpec, generate_trial, read_csv, write_csv
 from platformtrial.design import TrialConfig, max_enrollment
 
@@ -150,6 +150,48 @@ class TestValidate:
         err = capsys.readouterr().err
         assert f"config error: {named}:" in err and f"more than {MAX_TRIAL_PATIENTS}" in err
 
+    def test_replicates_bounded(self, tmp_path, capsys):
+        doc = json.loads((CONFIGS / "smoke.json").read_text())
+        for replicates, code in ((MAX_REPLICATES, 0), (MAX_REPLICATES + 1, 2), (10**30, 2)):
+            doc["run"]["replicates"] = replicates
+            path = tmp_path / "reps.json"
+            path.write_text(json.dumps(doc))
+            assert main(["validate", str(path)]) == code
+            assert (f"config error: run.replicates: must be <= {MAX_REPLICATES}"
+                    in capsys.readouterr().err) == (code == 2)
+
+    @pytest.mark.parametrize("section, key, value, ok, named", [
+        ("trial", "eta0", 1e200, MAX_MODEL_SCALE, "trial.eta0"),
+        ("trial", "eta0", -1e200, -MAX_MODEL_SCALE, "trial.eta0"),
+        ("trial", "effect", 1e200, MAX_MODEL_SCALE, "trial.effect"),
+        ("trial", "sigma", 1e200, MAX_MODEL_SCALE, "trial.sigma"),
+        ("trend", "lambda", [0.5, -1e200], [0.5, -MAX_MODEL_SCALE], "trend.lambda"),
+        # the largest |lambda| times the largest |multiplier|
+        ("trend", "profile", [0.0, -1e150, 1.0], [0.0, -MAX_MODEL_SCALE, 1.0], "trend.lambda"),
+    ])
+    def test_response_scale_bounded(self, tmp_path, capsys, section, key, value, ok, named):
+        # each at most MAX_MODEL_SCALE, so that y'y of a trial stays finite
+        doc = json.loads((CONFIGS / "smoke.json").read_text())
+        doc["trend"] = {"patterns": ["stepwise"], "lambda": [0.5, 1.0]}
+        doc[section][key] = value
+        path = tmp_path / "scale.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        assert f"config error: {named}:" in capsys.readouterr().err
+        doc[section][key] = ok
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 0
+
+    def test_largest_trial_at_the_scale_bound_has_finite_sum_of_squares(self):
+        # every scale at the bound, a stepwise trend with the most arms a trial
+        # within MAX_TRIAL_PATIENTS can have, and every arm under the alternative
+        K = max(k for k in range(2, 2000) if max_enrollment(k, 2, 0) <= MAX_TRIAL_PATIENTS)
+        config = TrialConfig(K=K, d=0, n=2, eta0=MAX_MODEL_SCALE, theta=(MAX_MODEL_SCALE,) * K,
+                             sigma=MAX_MODEL_SCALE, M=K)
+        trend = TrendSpec("stepwise", (MAX_MODEL_SCALE,) * (K + 1))
+        y = generate_trial(config, trend, "alternative", seed=1).y
+        assert math.isfinite(float(y @ y))
+
     def test_bundled_configs_enroll_below_the_limit(self):
         enrolled = []
         for grid, _ in map(load_config, sorted(CONFIGS.glob("*.json"))):
@@ -204,6 +246,8 @@ class TestSimulate:
         (["--reps", "0"], "--reps"),
         (["--threads", "0"], "--threads"),
         (["--threads", "-3"], "--threads"),
+        (["--reps", str(MAX_REPLICATES + 1)], f"--reps: must be <= {MAX_REPLICATES}"),
+        (["--reps", str(10**30), "--print-config"], "--reps"),
     ])
     def test_out_of_range_flag_exits_two(self, tmp_path, capsys, monkeypatch, flags, named):
         monkeypatch.delenv("PLATFORMTRIAL_THREADS", raising=False)
@@ -322,6 +366,17 @@ class TestAnalyze:
         assert main(["analyze", "--data", str(data), "--arm", "1",
                      "--models", "fixed_period,pooled"]) == 2
         assert "line 10: non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("models", ["fixed_period,pooled", "mixed_period"])
+    def test_overflowing_sum_of_squares_exits_two_naming_the_line(self, tmp_path, capsys,
+                                                                  models):
+        # finite responses whose squares overflow: line 12's is the largest
+        data, _ = make_dataset_csv(tmp_path, seed=5)
+        set_field(data, 10, "response", "1e155")
+        set_field(data, 12, "response", "-1e300")
+        assert main(["analyze", "--data", str(data), "--arm", "2", "--models", models]) == 2
+        err = capsys.readouterr().err
+        assert "line 12: response -1e+300 too large" in err
 
     @pytest.mark.parametrize("column, value", [("j", "5.7"), ("arm", "1.5")])
     def test_non_integer_id_exits_two(self, tmp_path, capsys, column, value):

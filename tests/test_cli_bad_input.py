@@ -14,7 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from platformtrial.analysis import ESTIMATORS
@@ -65,6 +65,8 @@ CONFIG_NUMBERS = [("trial", key) for key in ("K", "d", "n", "eta0", "sigma", "M"
 @given(field=st.sampled_from(CONFIG_NUMBERS),
        value=st.sampled_from(NON_FINITE + OVERSIZED + [0, -1, 0.5]),
        cut=st.none() | st.integers(min_value=0, max_value=200))
+@example(field=("run", "replicates"), value=10**30, cut=None)
+@example(field=("trial", "sigma"), value=1e308, cut=None)
 def test_validate(tmp_path_factory, field, value, cut):
     # a bad number in one field; with a cut, also the JSON text cut short there
     section, key = field

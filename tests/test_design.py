@@ -116,9 +116,13 @@ class TestDeriveCalendar:
         with pytest.raises(ConfigError, match=r"c_length 1\.0 makes 2000000001 calendar intervals; "
                                               r"at most 6 allowed"):
             derive_calendar(horizon=1e9, c_length=1, start=-1e9, max_intervals=6)
-        # a span past the largest float has no count
-        with pytest.raises(ConfigError, match="cannot partition the span"):
-            derive_calendar(horizon=1e308, c_length=5, start=-1e308)
+        # a span past the largest float has no count, and where a float's ulp
+        # nears c_length the walk cannot place the starts
+        for horizon, start in ((1e308, -1e308), (120.0, -1e300), (-1e300, -1e300)):
+            with pytest.raises(ConfigError, match="cannot partition the span"):
+                derive_calendar(horizon=horizon, c_length=5, start=start, max_intervals=100)
+        assert derive_calendar(horizon=2.0**46 + 9, c_length=5, start=2.0**46) == (
+            2.0**46, 2.0**46 + 5)
         assert time.perf_counter() - t0 < 1.0
         assert derive_calendar(horizon=13, c_length=2, max_intervals=7) == (1, 3, 5, 7, 9, 11, 13)
         with pytest.raises(ConfigError, match="makes 7 calendar intervals; at most 6"):

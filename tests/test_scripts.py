@@ -172,8 +172,18 @@ def test_grid_cmp_compares_a_tree_with_itself(tmp_path):
         [sys.executable, str(tmp_path / "scripts" / "grid_cmp.py"), str(tmp_path), "--reps", "2"],
         capture_output=True, text=True, check=True, timeout=300,
     ).stdout.splitlines()
-    assert out[0].split()[:3] == ["config", "threads", "identical"]
+    assert out[0].split()[:5] == ["config", "threads", "identical", "rss_mb", "parent_rss_mb"]
     assert [line.split()[:3] for line in out[1:]] == [["tiny", "1", "yes"], ["tiny", "2", "yes"]]
+    # each tree's peak RSS: at least an interpreter with numpy, far below a GB
+    for line in out[1:]:
+        assert all(20.0 < float(mb) < 1024.0 for mb in line.split()[3:5])
+    (tmp_path / "configs" / "other.json").write_text("{}")  # fails if it is run
+    out = subprocess.run(
+        [sys.executable, str(tmp_path / "scripts" / "grid_cmp.py"), str(tmp_path), "--reps", "1",
+         "--config", "tiny", "--threads", "2"],
+        capture_output=True, text=True, check=True, timeout=300,
+    ).stdout.splitlines()
+    assert [line.split()[:3] for line in out[1:]] == [["tiny", "2", "yes"]]
 
 
 def grid_csv(*rows):

@@ -91,6 +91,29 @@ class TestRunScenario:
         )
         assert 0.0 <= st.reject_rate <= 1.0
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=1500),
+           magnitudes=st.tuples(st.floats(-5, 5), st.floats(-5, 5)).map(sorted),
+           failed_share=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_summary_moments_are_numpys_bit_for_bit(self, n, magnitudes, failed_share, seed):
+        # estimates of either sign from 10^lo to 10^hi; a failed replicate is
+        # recorded as run_replicate records it
+        rng = np.random.default_rng(seed)
+        values = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(*magnitudes, n)
+        failed = rng.random(n) < failed_share
+        outcomes = [("e", bool(f), bool(v > 0), math.nan if f else float(v))
+                    for f, v in zip(failed, values)]
+        st_ = simharness._summary("e", outcomes, 0.25)
+        kept = values[~failed].tolist()
+        assert (st_.reps, st_.failures) == (len(kept), int(failed.sum()))
+        mean = float(np.mean(kept)) if kept else math.nan
+        with np.errstate(invalid="ignore", divide="ignore"):
+            std = float(np.std(kept, ddof=1)) if len(kept) > 1 else math.nan
+        assert st_.mean_est.hex() == mean.hex()
+        assert st_.emp_se.hex() == std.hex()
+        assert st_.bias.hex() == (mean - 0.25).hex()
+
     def test_failures_counted_and_excluded(self, monkeypatch):
         real_fit = simharness.fit
 
@@ -138,7 +161,7 @@ class TestRunScenario:
 
     def test_replicate_output_shape(self):
         sc = small_scenario()
-        rows = run_replicate(sc, 0)
+        rows = run_replicate(sc, 0, simharness._Group(sc.estimators, {}))
         assert [r[0] for r in rows] == ["fixed_period", "pooled"]
         assert all(isinstance(r[2], bool) for r in rows)
 
@@ -313,11 +336,10 @@ class TestSharedAnalysisSets:
         rows_to_csv(alone, tmp_path / "alone.csv")
         assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
 
-    def test_shared_spec_failing_on_some_replicates_summarized_once_as_alone(self, monkeypatch,
-                                                                             tmp_path):
+    def test_each_cell_summarizes_its_own_specs_as_alone(self, monkeypatch, tmp_path):
         # fixed_period fails on the sets whose first sorted response is positive;
-        # each c_length-free spec is summarized by the group's first cell, and
-        # its other cells read that summary
+        # every cell summarizes each of its own specs from the kept outcomes it
+        # read, and a c_length-free spec reads the same outcomes in every cell
         real_cells, real_summary, summarized = analysis.cell_ols_each, simharness._summary, []
 
         def failing_on_some(records, partitions, horizon):
@@ -325,18 +347,23 @@ class TestSharedAnalysisSets:
             return [RankDeficiencyError(["per2"]) if adjustment == "period" and records.y[0] > 0
                     else outcome for (adjustment, _), outcome in zip(partitions, outcomes)]
 
-        def counting_summary(label, outcomes, true_effect):
-            summarized.append(label)
+        def recording_summary(label, outcomes, true_effect):
+            summarized.append((label, outcomes))
             return real_summary(label, outcomes, true_effect)
 
         monkeypatch.setattr(analysis, "cell_ols_each", failing_on_some)
-        monkeypatch.setattr(simharness, "_summary", counting_summary)
+        monkeypatch.setattr(simharness, "_summary", recording_summary)
         grid = self.grid(hypotheses=("null",), replicates=6, estimators=(
             ModelSpec("fixed_period"), ModelSpec("fixed_calendar", c_length=1), ModelSpec("separate")))
         rows = run_grid(grid, threads=1)
         failures = [r["failures"] for r in rows if r["estimator"] == "fixed_period"]
         assert failures == [failures[0]] * 3 and 0 < failures[0] < grid.replicates
-        assert sorted(summarized) == ["fixed_calendar"] * 3 + ["fixed_period", "separate"]
+        assert [label for label, _ in summarized] == [
+            "fixed_period", "fixed_calendar", "separate"] * 3
+        assert all(len(outcomes) == grid.replicates for _, outcomes in summarized)
+        for shared in ("fixed_period", "separate"):
+            same = [repr(outcomes) for label, outcomes in summarized if label == shared]
+            assert same[0] == same[1] == same[2]  # repr: a failure's NaN equals itself
         rows_to_csv(rows, tmp_path / "grid.csv")
         alone = []
         for c_length in grid.c_lengths:
@@ -344,49 +371,77 @@ class TestSharedAnalysisSets:
         rows_to_csv(alone, tmp_path / "alone.csv")
         assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
 
-    def test_kept_failure_keeps_no_group_alive(self, monkeypatch):
-        # without the cyclic collector, a group's sets die with the group
-        self.fail_fixed_period(monkeypatch)
-        (scenario, *_) = self.grid(replicates=1).cells()
+    def test_one_set_alive_per_group(self, monkeypatch):
+        # without the cyclic collector, replicate i's set is dead before
+        # replicate i+1's set is made, though the group's first cell keeps a
+        # fixed_period failure on it that its other two cells read
+        passes = self.fail_fixed_period(monkeypatch)
+        made, alive_when_made = [], []
+        real_slice = simharness.slice_for_arm
+
+        def recording_slice(*args, **kwargs):
+            alive_when_made.append([ref() is not None for ref in made])
+            analysis_set = real_slice(*args, **kwargs)
+            made.append(weakref.ref(analysis_set))
+            return analysis_set
+
+        monkeypatch.setattr(simharness, "slice_for_arm", recording_slice)
+        grid = self.grid(hypotheses=("null",), replicates=3, estimators=(
+            ModelSpec("fixed_period"), ModelSpec("fixed_calendar", c_length=1)))
         gc.disable()
         try:
-            group = simharness._Group(scenario.estimators + (ModelSpec("fixed_period"),), {}, {})
-            for _ in range(2):  # the second cell reads the kept failure
-                run_replicate(dataclasses.replace(
-                    scenario, estimators=(ModelSpec("fixed_period"),)), 0, group)
-            assert isinstance(group.sets[0].fits[ModelSpec("fixed_period")], RankDeficiencyError)
-            dropped = weakref.ref(group.sets[0])
-            del group
-            assert dropped() is None
+            rows = run_grid(grid, threads=1)
         finally:
             gc.enable()
+        assert alive_when_made == [[], [False], [False, False]]
+        assert all(ref() is None for ref in made)
+        assert passes == [4] * grid.replicates  # the kept failure is read, not refitted
+        assert [r["failures"] for r in rows if r["estimator"] == "fixed_period"] == [3, 3, 3]
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_cells_share_a_mapping_only_within_a_data_key_group(self, monkeypatch, threads):
-        seen = []
-        real_run_scenario = simharness.run_scenario
+    def test_group_runs_replicate_major(self, monkeypatch, threads):
+        ran, summarized = [], []
+        real_run_replicate, real_run_scenario = simharness.run_replicate, simharness.run_scenario
 
-        def recording_run_scenario(scenario, threads, _shared=None):
-            seen.append((scenario.hypothesis, _shared))
-            return real_run_scenario(scenario, threads, _shared)
+        def recording_run_replicate(scenario, index, group):
+            outcomes = real_run_replicate(scenario, index, group)
+            ran.append((scenario, index, group, outcomes))
+            return outcomes
 
+        def recording_run_scenario(scenario, threads, _outcomes=None):
+            summarized.append((scenario, _outcomes))
+            return real_run_scenario(scenario, threads, _outcomes)
+
+        monkeypatch.setattr(simharness, "run_replicate", recording_run_replicate)
         monkeypatch.setattr(simharness, "run_scenario", recording_run_scenario)
-        run_grid(self.grid(replicates=2), threads=threads)
-        assert [h for h, _ in seen] == ["null"] * 3 + ["alternative"] * 3
-        shared = [m for _, m in seen]
+        grid = self.grid(replicates=2)
+        run_grid(grid, threads=threads)
+        assert [scenario for scenario, _ in summarized] == grid.cells()
         if threads > 1:
-            assert shared == [None] * 6  # workers cannot fill the parent's mapping
+            # each cell runs its replicates in its own pool's workers
+            assert [outcomes for _, outcomes in summarized] == [None] * 6 and ran == []
         else:
-            assert shared[0] is shared[1] is shared[2] and shared[3] is shared[4] is shared[5]
-            assert shared[0] is not shared[3]
-            assert sorted(shared[0].sets) == sorted(shared[3].sets) == [0, 1]
+            # per data key: replicate 0 of every cell, then replicate 1
+            assert [(s.hypothesis, s.estimators[0].c_length, i) for s, i, *_ in ran] == [
+                (h, c, i) for h in grid.hypotheses for i in range(2) for c in grid.c_lengths]
+            groups = [group for _, _, group, _ in ran]
+            assert all(groups[k] is groups[k + 1] is groups[k + 2] for k in range(0, 12, 3))
+            assert len({id(group) for group in groups}) == 4
+            assert all(list(group.sets) == [i] for _, i, group, _ in ran)
             # every cell's specs, each once: c_length-free specs are equal
-            assert [s.label for s in shared[0].specs] == [
+            assert [s.label for s in groups[0].specs] == [
                 "fixed_calendar", "spline_period_q3", "mixed_calendar", "separate",
                 "fixed_calendar", "mixed_calendar", "fixed_calendar", "mixed_calendar"]
-        seen.clear()
-        run_grid(self.grid(c_lengths=(10.0,)), threads=threads)
-        assert [m for _, m in seen] == [None, None]  # groups of one cell keep no mapping
+            # each cell summarizes its own outcomes, in replicate order
+            for scenario, outcomes in summarized:
+                assert outcomes == [out for s, _, _, out in ran if s is scenario]
+        ran.clear()
+        summarized.clear()
+        run_grid(self.grid(c_lengths=(10.0,), replicates=2), threads=threads)
+        if threads == 1:  # a group of one cell runs the same loop, for its own specs
+            assert [group.specs for _, _, group, _ in ran] == [summarized[0][0].estimators] * 2 \
+                + [summarized[1][0].estimators] * 2
+            assert [len(outcomes) for _, outcomes in summarized] == [2, 2]
 
     @settings(max_examples=30, deadline=None)
     @given(
